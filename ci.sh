@@ -6,8 +6,11 @@ set -eu
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q"
-cargo test -q
+echo "==> cargo test -q --workspace"
+# Every crate's tests, not only the root package's: the core, telemetry
+# and stream suites pin the unbiased draw kernels and the incremental ==
+# batch equivalence.
+cargo test -q --workspace
 
 echo "==> cargo clippy -q --all-targets -- -D warnings"
 cargo clippy -q --all-targets -- -D warnings

@@ -32,7 +32,7 @@ use autosens_telemetry::time::{DayPeriod, MS_PER_DAY, MS_PER_HOUR};
 use crate::config::AutoSensConfig;
 use crate::error::AutoSensError;
 use crate::lossmodel::LossModel;
-use crate::unbiased::unbiased_histogram_in_windows_par;
+use crate::unbiased::{unbiased_histogram_in_windows_par, SampleCells};
 
 /// How records are grouped in time for the confounder correction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -728,6 +728,8 @@ fn build_alpha_inputs<R: Rng>(
         .collect();
     let total_time: i64 = group_time.iter().sum::<i64>().max(1);
 
+    // One nearest-sample table serves every group's draws.
+    let samples = SampleCells::new(log, binner)?;
     let mut unbiased: Vec<Histogram> = Vec::with_capacity(n_groups);
     let mut target_mass = vec![0.0f64; n_groups];
     for g in 0..n_groups {
@@ -741,8 +743,7 @@ fn build_alpha_inputs<R: Rng>(
             Histogram::new(binner.clone())
         } else {
             let (h, report) = unbiased_histogram_in_windows_par(
-                log,
-                binner,
+                &samples,
                 &group_windows[g],
                 draws,
                 cfg.threads,

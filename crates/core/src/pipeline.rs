@@ -306,7 +306,10 @@ impl AutoSens {
         // materialized copy, exactly the old filter/sort/dedup sequence.
         let owned;
         let (sub, removed, copied) = if selected.is_sorted() {
-            let (clean, removed) = selected.dedup_exact_par(self.config.threads);
+            let (clean, removed, dedup_report) = selected.dedup_exact_par(self.config.threads);
+            if let Some(report) = &dedup_report {
+                self.record_exec(&span, report);
+            }
             (clean, removed, 0)
         } else {
             let mut m = selected.materialize();
@@ -1260,6 +1263,32 @@ mod tests {
     }
 
     #[test]
+    fn sanitize_records_its_exec_jobs() {
+        let log = smoke_log();
+        let recorder = autosens_obs::Recorder::new();
+        let engine = AutoSens::with_recorder(fast_config(), recorder.clone());
+        run(&engine, &log).unwrap();
+        let tree = recorder.finish();
+        let sanitize = tree
+            .spans()
+            .iter()
+            .find(|s| s.name == "sanitize")
+            .unwrap()
+            .id;
+        for job in ["slice_filter", "dedup_exact"] {
+            let recorded = tree.spans().iter().any(|s| {
+                s.name == "exec_worker"
+                    && s.parent == Some(sanitize)
+                    && s.fields.iter().any(|(k, v)| {
+                        k == "job"
+                            && matches!(v, autosens_obs::span::FieldValue::Str(j) if j == job)
+                    })
+            });
+            assert!(recorded, "no {job} worker span:\n{}", tree.render());
+        }
+    }
+
+    #[test]
     fn ci_analysis_adds_the_bootstrap_stage() {
         let log = smoke_log();
         let recorder = autosens_obs::Recorder::new();
@@ -1440,7 +1469,7 @@ mod tests {
     fn prepared_from(log: &TelemetryLog, decay: Option<DecaySpec>) -> (TelemetryLog, PreparedMeta) {
         let (selected, _) = Slice::all().successes().select_par(log, 1).unwrap();
         let records_in = selected.len();
-        let (clean, removed) = selected.dedup_exact_par(1);
+        let (clean, removed, _) = selected.dedup_exact_par(1);
         (
             clean.materialize(),
             PreparedMeta {

@@ -8,6 +8,12 @@
 //! drawn uniformly in *time* — not in proportion to action volume — slow
 //! periods contribute according to their duration, undoing the activity
 //! bias.
+//!
+//! Every estimator here looks samples up through one [`SampleCells`] table,
+//! built once per analysis from the sanitized view: the equal-time runs of
+//! the log, a bucket index over their timestamps, and each row's latency
+//! bin. A draw costs one bucket probe and one table read instead of binary
+//! searches through the view's selection vector.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -16,9 +22,252 @@ use autosens_exec::ExecReport;
 use autosens_stats::binning::Binner;
 use autosens_stats::histogram::Histogram;
 use autosens_telemetry::log::LogView;
-use autosens_telemetry::time::SimTime;
 
 use crate::error::AutoSensError;
+
+/// Bin index of a row whose latency the binner discards.
+const NO_BIN: u32 = u32::MAX;
+
+/// Average runs per bucket of the [`SampleCells`] index (at least; the
+/// power-of-two bucket width makes it up to twice this). A lookup
+/// searches one bucket's runs, which share a cache line or two; fewer
+/// buckets keep the index small next to the per-run arrays.
+const RUNS_PER_BUCKET: u64 = 4;
+
+/// The nearest-sample cells of a sorted, non-empty view.
+///
+/// Rows sharing one timestamp form a *run*; every instant belongs to the
+/// cell of the run (or, at an exact midpoint, the two runs) nearest to it.
+/// [`SampleCells::nearest`] answers exactly what
+/// [`LogView::nearest_in_time`] answers, in O(1) expected time: a bucket
+/// index over the span narrows the search to the few runs whose
+/// timestamps share the query's bucket. Rows are addressed by view index,
+/// and each row's latency bin is precomputed, so a draw never touches the
+/// view again.
+#[derive(Debug, Clone)]
+pub struct SampleCells {
+    binner: Binner,
+    /// Distinct timestamps, ascending: one per run.
+    times: Vec<i64>,
+    /// Run `k` covers view rows `run_start[k]..run_start[k + 1]`; the last
+    /// entry is the row count.
+    run_start: Vec<u32>,
+    /// `bucket_first[b]` is the first run at or after
+    /// `times[0] + (b << shift)`; the last entry is the run count.
+    bucket_first: Vec<u32>,
+    /// Bucket width as a power of two, chosen so there is at most one
+    /// bucket per [`RUNS_PER_BUCKET`] runs.
+    shift: u32,
+    /// Latency bin of each view row, [`NO_BIN`] where it is discarded.
+    bins: Vec<u32>,
+}
+
+impl SampleCells {
+    /// Build the table for `log` under `binner`. Errors on an empty or
+    /// unsorted view.
+    pub fn new(log: &LogView<'_>, binner: &Binner) -> Result<Self, AutoSensError> {
+        log.require_sorted()?;
+        let n = log.len();
+        if n == 0 {
+            return Err(AutoSensError::EmptySlice("unbiased estimation".into()));
+        }
+        if u32::try_from(n).is_err() || binner.n_bins() >= NO_BIN as usize {
+            return Err(AutoSensError::Internal(format!(
+                "sample table limited to u32 indices ({n} rows, {} bins)",
+                binner.n_bins()
+            )));
+        }
+        // Count the runs first so every array is allocated at its final size.
+        let n_runs = 1
+            + (1..n)
+                .filter(|&i| log.time_at(i) != log.time_at(i - 1))
+                .count();
+        let mut times = Vec::with_capacity(n_runs);
+        let mut run_start = Vec::with_capacity(n_runs + 1);
+        let mut bins = Vec::with_capacity(n);
+        for i in 0..n {
+            let t = log.time_at(i);
+            if times.last() != Some(&t) {
+                times.push(t);
+                run_start.push(i as u32);
+            }
+            bins.push(
+                binner
+                    .index_of(log.latency_at(i))
+                    .map_or(NO_BIN, |b| b as u32),
+            );
+        }
+        run_start.push(n as u32);
+
+        let origin = times[0];
+        let span = times[n_runs - 1].wrapping_sub(origin) as u64;
+        let max_buckets = (n_runs as u64 / RUNS_PER_BUCKET).max(1);
+        let mut shift = 0u32;
+        while shift < 63 && span >> shift >= max_buckets {
+            shift += 1;
+        }
+        let n_buckets = (span >> shift) as usize + 1;
+        let mut bucket_first = Vec::with_capacity(n_buckets + 1);
+        let mut k = 0usize;
+        for b in 0..n_buckets as u64 {
+            // Every bucket edge is at most `span`, so `k` stays in range.
+            while (times[k].wrapping_sub(origin) as u64) < b << shift {
+                k += 1;
+            }
+            bucket_first.push(k as u32);
+        }
+        bucket_first.push(n_runs as u32);
+        Ok(SampleCells {
+            binner: binner.clone(),
+            times,
+            run_start,
+            bucket_first,
+            shift,
+            bins,
+        })
+    }
+
+    /// View-row range `[lo, hi)` of the run(s) nearest in time to `t`:
+    /// the same answer as [`LogView::nearest_in_time`] on the view the
+    /// table was built from. An exact midpoint between two runs returns
+    /// both; an instant outside the span returns the first or last run.
+    #[inline]
+    pub fn nearest(&self, t: i64) -> (usize, usize) {
+        let times = &self.times;
+        let last = times.len() - 1;
+        if t <= times[0] {
+            return self.run(0);
+        }
+        if t >= times[last] {
+            return self.run(last);
+        }
+        // times[0] < t < times[last]: the first run at or after t lies in
+        // t's bucket or is the first run of the next one, so 0 < k <= last.
+        let b = (t.wrapping_sub(times[0]) as u64 >> self.shift) as usize;
+        let (lo, hi) = (
+            self.bucket_first[b] as usize,
+            self.bucket_first[b + 1] as usize,
+        );
+        let k = lo + times[lo..hi].partition_point(|&x| x < t);
+        if times[k] == t {
+            return self.run(k);
+        }
+        match (t - times[k - 1]).cmp(&(times[k] - t)) {
+            std::cmp::Ordering::Less => self.run(k - 1),
+            std::cmp::Ordering::Greater => self.run(k),
+            std::cmp::Ordering::Equal => (
+                self.run_start[k - 1] as usize,
+                self.run_start[k + 1] as usize,
+            ),
+        }
+    }
+
+    /// Latency bin of view row `row`, `None` where the binner discards it.
+    #[inline]
+    fn bin(&self, row: usize) -> Option<usize> {
+        let b = self.bins[row];
+        (b != NO_BIN).then_some(b as usize)
+    }
+
+    #[inline]
+    fn run(&self, k: usize) -> (usize, usize) {
+        (self.run_start[k] as usize, self.run_start[k + 1] as usize)
+    }
+
+    /// The row a draw lands on: the nearest run(s) to `t`, with ties among
+    /// them broken by `tie` (`lo + tie % (hi - lo)`).
+    #[inline]
+    fn pick_row(&self, t: i64, tie: u64) -> usize {
+        let (lo, hi) = self.nearest(t);
+        if hi - lo == 1 {
+            lo
+        } else {
+            lo + (tie as usize) % (hi - lo)
+        }
+    }
+}
+
+/// Integer bin counts of unit-weight draws. Each count is exact as an f64
+/// (below 2^53), so the histogram it becomes does not depend on the order
+/// the draws were counted in.
+struct UnitCounts {
+    counts: Vec<u64>,
+    n_discarded: u64,
+}
+
+impl UnitCounts {
+    fn new(binner: &Binner) -> Self {
+        UnitCounts {
+            counts: vec![0; binner.n_bins()],
+            n_discarded: 0,
+        }
+    }
+
+    #[inline]
+    fn add(&mut self, bin: Option<usize>) {
+        match bin {
+            Some(b) => self.counts[b] += 1,
+            None => self.n_discarded += 1,
+        }
+    }
+
+    fn into_histogram(self, binner: &Binner) -> Result<Histogram, AutoSensError> {
+        let n_recorded: u64 = self.counts.iter().sum();
+        let counts = self.counts.iter().map(|&c| c as f64).collect();
+        Histogram::from_parts(
+            binner.clone(),
+            counts,
+            n_recorded as f64,
+            n_recorded,
+            self.n_discarded,
+        )
+        .map_err(AutoSensError::from)
+    }
+}
+
+/// Cumulative window lengths and their total: `cum[i]` is the total
+/// length of `windows[..i]` (each `[lo, hi]` inclusive; inverted windows
+/// count 0). Errors unless the total is positive.
+fn window_prefix_sums(windows: &[(i64, i64)]) -> Result<(Vec<i64>, i64), AutoSensError> {
+    let mut cum: Vec<i64> = Vec::with_capacity(windows.len() + 1);
+    let mut total = 0i64;
+    cum.push(total);
+    for &(lo, hi) in windows {
+        total += if hi < lo { 0 } else { hi - lo + 1 };
+        cum.push(total);
+    }
+    if total <= 0 {
+        return Err(AutoSensError::BadConfig(
+            "unbiased windows have zero total length".into(),
+        ));
+    }
+    Ok((cum, total))
+}
+
+/// The instant of draw `pick` in `[0, total)`: window `w` owns picks
+/// `cum[w]..cum[w + 1]`, so zero-length windows own none.
+#[inline]
+fn window_instant(windows: &[(i64, i64)], cum: &[i64], pick: i64) -> i64 {
+    let w = cum.partition_point(|&c| c <= pick) - 1;
+    windows[w].0 + (pick - cum[w])
+}
+
+fn check_draws(n_draws: usize) -> Result<(), AutoSensError> {
+    if n_draws == 0 {
+        return Err(AutoSensError::BadConfig(
+            "unbiased draws must be > 0".into(),
+        ));
+    }
+    Ok(())
+}
+
+/// The whole span of a non-empty view as one inclusive window.
+fn span_window(log: &LogView<'_>) -> Result<(i64, i64), AutoSensError> {
+    match (log.start_time(), log.end_time()) {
+        (Some(s), Some(e)) => Ok((s.millis(), e.millis())),
+        _ => Err(AutoSensError::EmptySlice("unbiased estimation".into())),
+    }
+}
 
 /// Estimate `U` over the whole span of a (sorted, non-empty) log.
 ///
@@ -30,11 +279,7 @@ pub fn unbiased_histogram<R: Rng>(
     n_draws: usize,
     rng: &mut R,
 ) -> Result<Histogram, AutoSensError> {
-    let (start, end) = match (log.start_time(), log.end_time()) {
-        (Some(s), Some(e)) => (s.millis(), e.millis()),
-        _ => return Err(AutoSensError::EmptySlice("unbiased estimation".into())),
-    };
-    let windows = [(start, end)];
+    let windows = [span_window(log)?];
     unbiased_histogram_in_windows(log, binner, &windows, n_draws, rng)
 }
 
@@ -56,45 +301,22 @@ pub fn unbiased_histogram_in_windows<R: Rng>(
     if log.is_empty() {
         return Err(AutoSensError::EmptySlice("unbiased estimation".into()));
     }
-    if n_draws == 0 {
-        return Err(AutoSensError::BadConfig(
-            "unbiased draws must be > 0".into(),
-        ));
-    }
-    let lens: Vec<i64> = windows
-        .iter()
-        .map(|&(lo, hi)| if hi < lo { 0 } else { hi - lo + 1 })
-        .collect();
-    let total_len: i64 = lens.iter().sum();
-    if total_len <= 0 {
-        return Err(AutoSensError::BadConfig(
-            "unbiased windows have zero total length".into(),
-        ));
-    }
-
-    let mut h = Histogram::new(binner.clone());
+    check_draws(n_draws)?;
+    let (cum, total_len) = window_prefix_sums(windows)?;
+    let cells = SampleCells::new(log, binner)?;
+    let mut counts = UnitCounts::new(binner);
     for _ in 0..n_draws {
         // Pick a window proportionally to its length, then an instant in it.
-        let mut pick = rng.gen_range(0..total_len);
-        let mut t = 0i64;
-        for (i, &len) in lens.iter().enumerate() {
-            if pick < len {
-                t = windows[i].0 + pick;
-                break;
-            }
-            pick -= len;
-        }
-        let (lo, hi) = log
-            .nearest_in_time(SimTime(t))
-            .map_err(AutoSensError::from)?;
+        let t = window_instant(windows, &cum, rng.gen_range(0..total_len));
+        let (lo, hi) = cells.nearest(t);
         let idx = if hi - lo == 1 {
             lo
         } else {
             rng.gen_range(lo..hi)
         };
-        h.record(log.latency_at(idx));
+        counts.add(cells.bin(idx));
     }
-    Ok(h)
+    counts.into_histogram(binner)
 }
 
 /// Chunked [`unbiased_histogram`]: the draws run as a data-parallel job.
@@ -106,51 +328,30 @@ pub fn unbiased_histogram_par<R: Rng>(
     threads: usize,
     rng: &mut R,
 ) -> Result<(Histogram, ExecReport), AutoSensError> {
-    let (start, end) = match (log.start_time(), log.end_time()) {
-        (Some(s), Some(e)) => (s.millis(), e.millis()),
-        _ => return Err(AutoSensError::EmptySlice("unbiased estimation".into())),
-    };
-    let windows = [(start, end)];
-    unbiased_histogram_in_windows_par(log, binner, &windows, n_draws, threads, rng)
+    let windows = [span_window(log)?];
+    check_draws(n_draws)?;
+    let cells = SampleCells::new(log, binner)?;
+    unbiased_histogram_in_windows_par(&cells, &windows, n_draws, threads, rng)
 }
 
-/// Chunked [`unbiased_histogram_in_windows`]: the draw budget is cut into
-/// fixed-size chunks, each chunk draws from its own RNG stream (seeded
-/// from one `u64` taken off the caller's `rng`, mixed with the chunk
-/// index), and the per-chunk histograms merge in chunk order — so the
-/// result is bit-identical for every thread count. Each chunk pre-draws
-/// its instants and processes them in time order, walking a cursor over
-/// the window prefix sums — cache-friendly where the serial variant's
-/// random-order lookups are not.
+/// Chunked [`unbiased_histogram_in_windows`] over a prebuilt
+/// [`SampleCells`] table, so callers drawing for many window sets (the α
+/// groups) build it once. The draw budget is cut into fixed-size chunks;
+/// each chunk draws from its own RNG stream (seeded from one `u64` taken
+/// off the caller's `rng`, mixed with the chunk index) and counts its
+/// draws into integer bins. Chunk histograms merge in chunk order, and
+/// their counts are exact integers, so the result is bit-identical for
+/// every thread count.
 pub fn unbiased_histogram_in_windows_par<R: Rng>(
-    log: &LogView<'_>,
-    binner: &Binner,
+    cells: &SampleCells,
     windows: &[(i64, i64)],
     n_draws: usize,
     threads: usize,
     rng: &mut R,
 ) -> Result<(Histogram, ExecReport), AutoSensError> {
-    if log.is_empty() {
-        return Err(AutoSensError::EmptySlice("unbiased estimation".into()));
-    }
-    if n_draws == 0 {
-        return Err(AutoSensError::BadConfig(
-            "unbiased draws must be > 0".into(),
-        ));
-    }
-    // Cumulative window lengths: cum[i] = total length of windows[..i].
-    let mut cum: Vec<i64> = Vec::with_capacity(windows.len() + 1);
-    cum.push(0);
-    for &(lo, hi) in windows {
-        let len = if hi < lo { 0 } else { hi - lo + 1 };
-        cum.push(cum.last().unwrap() + len);
-    }
-    let total_len = *cum.last().unwrap();
-    if total_len <= 0 {
-        return Err(AutoSensError::BadConfig(
-            "unbiased windows have zero total length".into(),
-        ));
-    }
+    check_draws(n_draws)?;
+    let (cum, total_len) = window_prefix_sums(windows)?;
+    let binner = &cells.binner;
     // One sequential draw establishes the job's seed; every chunk then
     // derives its own stream, keeping the caller's RNG consumption (and
     // the draws themselves) independent of the worker count.
@@ -162,37 +363,14 @@ pub fn unbiased_histogram_in_windows_par<R: Rng>(
         threads,
         |chunk, range| -> Result<Histogram, AutoSensError> {
             let mut rng = StdRng::seed_from_u64(autosens_exec::chunk_seed(base_seed, chunk as u64));
-            // Draw every (instant, tie-break) pair up front, then process in
-            // instant order: the nearest-sample lookups sweep the log
-            // forward instead of jumping to random timestamps, which keeps
-            // the search path in cache. The sort key (pick, tie) is a total
-            // order on the draws, so the accumulation order — and the f64
-            // bits of the result — stay a pure function of the chunk seed.
-            let mut draws: Vec<(i64, u64)> = range
-                .map(|_| (rng.gen_range(0..total_len), rng.gen::<u64>()))
-                .collect();
-            draws.sort_unstable();
-            let mut h = Histogram::new(binner.clone());
-            let mut w = 0usize;
-            for (pick, tie) in draws {
-                // Advance to the window owning this pick; zero-length
-                // windows are skipped because their cum entry equals the
-                // next window's.
-                while cum[w + 1] <= pick {
-                    w += 1;
-                }
-                let t = windows[w].0 + (pick - cum[w]);
-                let (lo, hi) = log
-                    .nearest_in_time(SimTime(t))
-                    .map_err(AutoSensError::from)?;
-                let idx = if hi - lo == 1 {
-                    lo
-                } else {
-                    lo + (tie as usize) % (hi - lo)
-                };
-                h.record(log.latency_at(idx));
+            let mut counts = UnitCounts::new(binner);
+            for _ in range {
+                let pick = rng.gen_range(0..total_len);
+                let tie = rng.gen::<u64>();
+                let row = cells.pick_row(window_instant(windows, &cum, pick), tie);
+                counts.add(cells.bin(row));
             }
-            Ok(h)
+            counts.into_histogram(binner)
         },
     )?;
     let mut pooled = Histogram::new(binner.clone());
@@ -220,8 +398,11 @@ pub fn decay_weight(t_ms: i64, frontier_ms: i64, half_life_ms: i64) -> f64 {
 /// unbiased curve `U_w` tracks the *recent* latency environment while old
 /// regimes fade geometrically. Drawing uniformly and decaying the weight
 /// (rather than drawing from the decayed density) keeps the nearest-sample
-/// sweep and the chunk/seed schedule identical to the lifetime estimator,
-/// and the result bit-identical for every thread count.
+/// lookup and the chunk/seed schedule identical to the lifetime estimator,
+/// and the result bit-identical for every thread count. The weights are
+/// not integers, so f64 sums depend on accumulation order: each chunk
+/// processes its draws sorted by `(pick, tie)`, a total order fixed by the
+/// chunk seed.
 #[allow(clippy::too_many_arguments)]
 pub fn unbiased_histogram_decayed_par<R: Rng>(
     log: &LogView<'_>,
@@ -235,21 +416,15 @@ pub fn unbiased_histogram_decayed_par<R: Rng>(
     if log.is_empty() {
         return Err(AutoSensError::EmptySlice("unbiased estimation".into()));
     }
-    if n_draws == 0 {
-        return Err(AutoSensError::BadConfig(
-            "unbiased draws must be > 0".into(),
-        ));
-    }
+    check_draws(n_draws)?;
     if half_life_ms <= 0 {
         return Err(AutoSensError::BadConfig(
             "decay half-life must be > 0 ms".into(),
         ));
     }
-    let (start, end) = match (log.start_time(), log.end_time()) {
-        (Some(s), Some(e)) => (s.millis(), e.millis()),
-        _ => return Err(AutoSensError::EmptySlice("unbiased estimation".into())),
-    };
+    let (start, end) = span_window(log)?;
     let total_len = end - start + 1;
+    let cells = SampleCells::new(log, binner)?;
     let base_seed = rng.gen::<u64>();
     let (parts, report) = autosens_exec::run_chunks(
         "unbiased_decayed_draws",
@@ -262,23 +437,24 @@ pub fn unbiased_histogram_decayed_par<R: Rng>(
                 .map(|_| (rng.gen_range(0..total_len), rng.gen::<u64>()))
                 .collect();
             draws.sort_unstable();
-            let mut h = Histogram::new(binner.clone());
+            // The accumulation `Histogram::record_weighted` performs, on
+            // the precomputed bins.
+            let mut counts = vec![0.0f64; binner.n_bins()];
+            let (mut total, mut n_recorded, mut n_discarded) = (0.0f64, 0u64, 0u64);
             for (pick, tie) in draws {
                 let t = start + pick;
-                let (lo, hi) = log
-                    .nearest_in_time(SimTime(t))
-                    .map_err(AutoSensError::from)?;
-                let idx = if hi - lo == 1 {
-                    lo
-                } else {
-                    lo + (tie as usize) % (hi - lo)
-                };
-                h.record_weighted(
-                    log.latency_at(idx),
-                    decay_weight(t, frontier_ms, half_life_ms),
-                );
+                let weight = decay_weight(t, frontier_ms, half_life_ms);
+                match cells.bin(cells.pick_row(t, tie)) {
+                    Some(b) if weight.is_finite() && weight >= 0.0 => {
+                        counts[b] += weight;
+                        total += weight;
+                        n_recorded += 1;
+                    }
+                    _ => n_discarded += 1,
+                }
             }
-            Ok(h)
+            Histogram::from_parts(binner.clone(), counts, total, n_recorded, n_discarded)
+                .map_err(AutoSensError::from)
         },
     )?;
     let mut pooled = Histogram::new(binner.clone());
@@ -294,8 +470,7 @@ mod tests {
     use autosens_stats::binning::OutOfRange;
     use autosens_telemetry::log::TelemetryLog;
     use autosens_telemetry::record::{ActionRecord, ActionType, Outcome, UserClass, UserId};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use autosens_telemetry::time::SimTime;
 
     fn rec(t: i64, latency: f64) -> ActionRecord {
         ActionRecord {
@@ -417,23 +592,18 @@ mod tests {
             .collect();
         let log = TelemetryLog::from_records(records).unwrap();
         let windows = [(0, 150_000), (200_000, 400_000)];
+        let cells = SampleCells::new(&log.view(), &binner()).unwrap();
         let reference = {
             let mut rng = StdRng::seed_from_u64(7);
-            unbiased_histogram_in_windows_par(&log.view(), &binner(), &windows, 30_000, 1, &mut rng)
+            unbiased_histogram_in_windows_par(&cells, &windows, 30_000, 1, &mut rng)
                 .unwrap()
                 .0
         };
         for threads in [2, 4, 8] {
             let mut rng = StdRng::seed_from_u64(7);
-            let (h, report) = unbiased_histogram_in_windows_par(
-                &log.view(),
-                &binner(),
-                &windows,
-                30_000,
-                threads,
-                &mut rng,
-            )
-            .unwrap();
+            let (h, report) =
+                unbiased_histogram_in_windows_par(&cells, &windows, 30_000, threads, &mut rng)
+                    .unwrap();
             let same = h
                 .counts()
                 .iter()
@@ -545,5 +715,282 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(6);
         let h = unbiased_histogram(&log.view(), &binner(), 100, &mut rng).unwrap();
         assert_eq!(h.count(25), 100.0);
+    }
+
+    /// The pre-table unit-weight kernel, kept as the oracle for
+    /// [`unbiased_histogram_in_windows_par`]: each chunk sorts its
+    /// `(pick, tie)` draws and looks every instant up with
+    /// [`LogView::nearest_in_time`].
+    fn reference_in_windows_par(
+        log: &LogView<'_>,
+        binner: &Binner,
+        windows: &[(i64, i64)],
+        n_draws: usize,
+        threads: usize,
+        rng: &mut StdRng,
+    ) -> Histogram {
+        let (cum, total_len) = window_prefix_sums(windows).unwrap();
+        let base_seed = rng.gen::<u64>();
+        let (parts, _) = autosens_exec::run_chunks(
+            "reference_draws",
+            n_draws,
+            autosens_exec::chunk_size_for(n_draws),
+            threads,
+            |chunk, range| {
+                let mut rng =
+                    StdRng::seed_from_u64(autosens_exec::chunk_seed(base_seed, chunk as u64));
+                let mut draws: Vec<(i64, u64)> = range
+                    .map(|_| (rng.gen_range(0..total_len), rng.gen::<u64>()))
+                    .collect();
+                draws.sort_unstable();
+                let mut h = Histogram::new(binner.clone());
+                let mut w = 0usize;
+                for (pick, tie) in draws {
+                    while cum[w + 1] <= pick {
+                        w += 1;
+                    }
+                    let t = windows[w].0 + (pick - cum[w]);
+                    let (lo, hi) = log.nearest_in_time(SimTime(t)).unwrap();
+                    let idx = if hi - lo == 1 {
+                        lo
+                    } else {
+                        lo + (tie as usize) % (hi - lo)
+                    };
+                    h.record(log.latency_at(idx));
+                }
+                h
+            },
+        )
+        .unwrap();
+        let mut pooled = Histogram::new(binner.clone());
+        for part in parts {
+            pooled.merge(&part).unwrap();
+        }
+        pooled
+    }
+
+    /// The pre-table decayed kernel, kept as the oracle for
+    /// [`unbiased_histogram_decayed_par`].
+    fn reference_decayed_par(
+        log: &LogView<'_>,
+        binner: &Binner,
+        half_life_ms: i64,
+        frontier_ms: i64,
+        n_draws: usize,
+        threads: usize,
+        rng: &mut StdRng,
+    ) -> Histogram {
+        let (start, end) = span_window(log).unwrap();
+        let total_len = end - start + 1;
+        let base_seed = rng.gen::<u64>();
+        let (parts, _) = autosens_exec::run_chunks(
+            "reference_decayed_draws",
+            n_draws,
+            autosens_exec::chunk_size_for(n_draws),
+            threads,
+            |chunk, range| {
+                let mut rng =
+                    StdRng::seed_from_u64(autosens_exec::chunk_seed(base_seed, chunk as u64));
+                let mut draws: Vec<(i64, u64)> = range
+                    .map(|_| (rng.gen_range(0..total_len), rng.gen::<u64>()))
+                    .collect();
+                draws.sort_unstable();
+                let mut h = Histogram::new(binner.clone());
+                for (pick, tie) in draws {
+                    let t = start + pick;
+                    let (lo, hi) = log.nearest_in_time(SimTime(t)).unwrap();
+                    let idx = if hi - lo == 1 {
+                        lo
+                    } else {
+                        lo + (tie as usize) % (hi - lo)
+                    };
+                    h.record_weighted(
+                        log.latency_at(idx),
+                        decay_weight(t, frontier_ms, half_life_ms),
+                    );
+                }
+                h
+            },
+        )
+        .unwrap();
+        let mut pooled = Histogram::new(binner.clone());
+        for part in parts {
+            pooled.merge(&part).unwrap();
+        }
+        pooled
+    }
+
+    fn assert_bit_identical(a: &Histogram, b: &Histogram, what: &str) {
+        let same_counts = a
+            .counts()
+            .iter()
+            .zip(b.counts())
+            .all(|(x, y)| x.to_bits() == y.to_bits());
+        assert!(same_counts, "{what}: counts diverged");
+        assert_eq!(a.total().to_bits(), b.total().to_bits(), "{what}: total");
+        assert_eq!(a.n_recorded(), b.n_recorded(), "{what}: n_recorded");
+        assert_eq!(a.n_discarded(), b.n_discarded(), "{what}: n_discarded");
+    }
+
+    /// A log from `(time, latency)` pairs, viewed whole or through the
+    /// selection of storage rows where `keep` is set (cycled).
+    fn log_of(rows: &[(i64, f64)]) -> TelemetryLog {
+        TelemetryLog::from_records(rows.iter().map(|&(t, l)| rec(t, l)).collect()).unwrap()
+    }
+
+    fn select<'a>(log: &'a TelemetryLog, keep: &[bool]) -> LogView<'a> {
+        let sel: Vec<u32> = (0..log.len() as u32)
+            .filter(|&i| keep[i as usize % keep.len()])
+            .collect();
+        log.view().with_selection(sel)
+    }
+
+    /// Hour-slot style windows over `[start, end]`: every `stride`-th slot
+    /// of length `slot`, clipped to the span, plus zero-length (inverted)
+    /// windows at the front, the middle and the back.
+    fn slot_windows(start: i64, end: i64, slot: i64, stride: usize) -> Vec<(i64, i64)> {
+        let n_slots = (end - start) / slot + 1;
+        let mut windows: Vec<(i64, i64)> = (0..n_slots)
+            .step_by(stride)
+            .map(|i| start + i * slot)
+            .map(|lo| (lo, (lo + slot - 1).min(end)))
+            .collect();
+        windows.insert(0, (start + 1, start));
+        windows.insert(windows.len() / 2, (start + 5, start));
+        windows.push((end, end - 1));
+        windows
+    }
+
+    #[test]
+    fn sample_cells_bucket_boundaries() {
+        // Runs at 0, 10 (x3), 11, 40 and 1000, then runs spaced ever
+        // wider: buckets hold several runs, one, or none, and adjacent
+        // runs straddle bucket edges.
+        let mut rows = vec![
+            (0, 1.0),
+            (10, 2.0),
+            (10, 3.0),
+            (10, 4.0),
+            (11, 5.0),
+            (40, 6.0),
+            (1000, 7.0),
+        ];
+        rows.extend((1..40).map(|i| (1000 + i * i, 8.0)));
+        let log = log_of(&rows);
+        let view = log.view();
+        let cells = SampleCells::new(&view, &binner()).unwrap();
+        assert!(cells.bucket_first.len() > 2, "more than one bucket");
+        for t in -5..2600 {
+            assert_eq!(
+                cells.nearest(t),
+                view.nearest_in_time(SimTime(t)).unwrap(),
+                "t = {t}"
+            );
+        }
+        assert_eq!(cells.nearest(5), (0, 4), "midpoint returns both runs");
+        assert_eq!(cells.nearest(10), (1, 4));
+        assert!(SampleCells::new(&TelemetryLog::new().view(), &binner()).is_err());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn sample_cells_nearest_matches_nearest_in_time(
+            raw in proptest::collection::vec((0i64..60, 0.0f64..2000.0), 1..120),
+            scale in proptest::prop_oneof![
+                proptest::prelude::Just(1i64),
+                proptest::prelude::Just(7),
+                proptest::prelude::Just(1_000),
+                proptest::prelude::Just(3_600_000)
+            ],
+            keep in proptest::collection::vec(proptest::bool::ANY, 1..5),
+            queries in proptest::collection::vec(-100i64..100, 0..50),
+        ) {
+            // Few distinct times make many ties; the scale spreads them
+            // from adjacent milliseconds to hours apart.
+            let rows: Vec<(i64, f64)> = raw.iter().map(|&(t, l)| (t * scale, l)).collect();
+            let log = log_of(&rows);
+            let views = [log.view(), select(&log, &keep)];
+            for view in views.iter().filter(|v| !v.is_empty()) {
+                let cells = SampleCells::new(view, &binner()).unwrap();
+                let first = view.time_at(0);
+                let last = view.time_at(view.len() - 1);
+                // Every sample time, both neighbours of it, every integer
+                // midpoint between consecutive distinct times, and random
+                // instants before, inside and after the span.
+                let mut probes: Vec<i64> = Vec::new();
+                for i in 0..view.len() {
+                    let t = view.time_at(i);
+                    probes.extend([t - 1, t, t + 1]);
+                    if i > 0 {
+                        let s = view.time_at(i - 1) + t;
+                        probes.extend([s.div_euclid(2), (s + 1).div_euclid(2)]);
+                    }
+                }
+                let span = (last - first).max(1);
+                probes.extend(queries.iter().map(|&q| first + q * span / 50));
+                for t in probes {
+                    proptest::prop_assert_eq!(
+                        cells.nearest(t),
+                        view.nearest_in_time(SimTime(t)).unwrap(),
+                        "t = {}", t
+                    );
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(12))]
+
+        #[test]
+        fn kernels_are_bit_identical_to_the_reference(
+            raw in proptest::collection::vec((0i64..400, 0.0f64..1400.0), 1..200),
+            scale in proptest::prop_oneof![
+                proptest::prelude::Just(1i64),
+                proptest::prelude::Just(250),
+                proptest::prelude::Just(90_000)
+            ],
+            keep in proptest::collection::vec(proptest::bool::ANY, 1..4),
+            slot in 1i64..40,
+            stride in 1usize..4,
+            seed in 0u64..1_000,
+        ) {
+            // Latencies up to 1400 ms against a 0–1000 ms binner: some
+            // draws land on discarded rows.
+            let rows: Vec<(i64, f64)> = raw.iter().map(|&(t, l)| (t * scale, l)).collect();
+            let log = log_of(&rows);
+            let binner = binner();
+            let views = [log.view(), select(&log, &keep)];
+            for view in views.iter().filter(|v| !v.is_empty()) {
+                let cells = SampleCells::new(view, &binner).unwrap();
+                let (start, end) = span_window(view).unwrap();
+                let windows = slot_windows(start, end, slot * scale, stride);
+                let draws = 9_000;
+                for threads in [1, 2, 4, 8] {
+                    let what = format!("threads={threads} rows={}", view.len());
+                    let mut a = StdRng::seed_from_u64(seed);
+                    let mut b = StdRng::seed_from_u64(seed);
+                    let (h, _) =
+                        unbiased_histogram_in_windows_par(&cells, &windows, draws, threads, &mut a)
+                            .unwrap();
+                    let r = reference_in_windows_par(view, &binner, &windows, draws, threads, &mut b);
+                    assert_bit_identical(&h, &r, &what);
+                    // Both leave the caller's RNG in the same state.
+                    proptest::prop_assert_eq!(a.gen::<u64>(), b.gen::<u64>());
+
+                    let half_life = (end - start) / 3 + 1;
+                    let mut a = StdRng::seed_from_u64(seed);
+                    let mut b = StdRng::seed_from_u64(seed);
+                    let (h, _) = unbiased_histogram_decayed_par(
+                        view, &binner, half_life, end, draws, threads, &mut a,
+                    )
+                    .unwrap();
+                    let r = reference_decayed_par(view, &binner, half_life, end, draws, threads, &mut b);
+                    assert_bit_identical(&h, &r, &format!("decayed {what}"));
+                }
+            }
+        }
     }
 }

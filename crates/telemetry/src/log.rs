@@ -632,9 +632,13 @@ impl<'a> LogView<'a> {
     /// equal-timestamp run), shrinking the selection — no rows are copied.
     /// Semantics are identical to [`TelemetryLog::dedup_exact_par`] on the
     /// materialized view, including the data-dependent (never
-    /// thread-dependent) serial fallback. Returns the deduplicated view and
-    /// how many rows were dropped.
-    pub fn dedup_exact_par(&self, threads: usize) -> (LogView<'a>, usize) {
+    /// thread-dependent) serial fallback. Returns the deduplicated view,
+    /// how many rows were dropped, and the `dedup_exact` job's scheduling
+    /// report (`None` when the serial fallback ran instead).
+    pub fn dedup_exact_par(
+        &self,
+        threads: usize,
+    ) -> (LogView<'a>, usize, Option<autosens_exec::ExecReport>) {
         const MAX_RUN: usize = 256;
         let n = self.len();
         if !self.sorted || self.max_equal_time_run() > MAX_RUN {
@@ -658,9 +662,9 @@ impl<'a> LogView<'a> {
             }
             let removed = n - keep.len();
             if removed == 0 {
-                return (self.clone(), 0);
+                return (self.clone(), 0, None);
             }
-            return (self.with_selection(keep), removed);
+            return (self.with_selection(keep), removed, None);
         }
         // Sorted: duplicates necessarily share a timestamp, so a row is a
         // repeat iff an identical row occurs earlier within its run of
@@ -669,7 +673,7 @@ impl<'a> LogView<'a> {
         // on the shared columns) and duplicate indices concatenate in
         // chunk order — identical to the serial pass for any thread count.
         let view = self.borrowed();
-        let (parts, _) = autosens_exec::run_chunks(
+        let (parts, report) = autosens_exec::run_chunks(
             "dedup_exact",
             n,
             autosens_exec::scan_chunk_size_for(n),
@@ -693,7 +697,7 @@ impl<'a> LogView<'a> {
         .expect("dedup scan does not panic");
         let removed: usize = parts.iter().map(Vec::len).sum();
         if removed == 0 {
-            return (self.clone(), 0);
+            return (self.clone(), 0, Some(report));
         }
         let mut dup_iter = parts.iter().flatten().copied();
         let mut next_dup = dup_iter.next();
@@ -705,7 +709,7 @@ impl<'a> LogView<'a> {
                 keep.push(self.row(i) as u32);
             }
         }
-        (self.with_selection(keep), removed)
+        (self.with_selection(keep), removed, Some(report))
     }
 
     /// Copy the selected rows into an owned, sorted log — the single
@@ -1021,7 +1025,7 @@ impl TelemetryLog {
         if !self.sorted {
             return self.dedup_exact();
         }
-        let (deduped, removed) = self.view().dedup_exact_par(threads);
+        let (deduped, removed, _) = self.view().dedup_exact_par(threads);
         if removed > 0 {
             let keep = deduped
                 .sel
@@ -1440,8 +1444,12 @@ mod tests {
         let removed_owned = owned.dedup_exact();
         let log = TelemetryLog::from_records(records).unwrap();
         for threads in [1, 2, 4, 8] {
-            let (view, removed) = log.view().dedup_exact_par(threads);
+            let (view, removed, report) = log.view().dedup_exact_par(threads);
             assert_eq!(removed, removed_owned, "threads={threads}");
+            // The chunked scan reports its job so callers can record it.
+            let report = report.expect("sorted input runs the chunked scan");
+            assert_eq!(report.label, "dedup_exact");
+            assert_eq!(report.n_items, log.len());
             assert_eq!(
                 view.materialize().to_records(),
                 owned.to_records(),
