@@ -12,25 +12,14 @@ echo "==> cargo test -q --workspace"
 # batch equivalence.
 cargo test -q --workspace
 
-echo "==> cargo clippy -q --all-targets -- -D warnings"
-cargo clippy -q --all-targets -- -D warnings
+echo "==> cargo clippy -q --workspace --all-targets -- -D warnings"
+cargo clippy -q --workspace --all-targets -- -D warnings
 
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> cargo doc -q --no-deps"
-cargo doc -q --no-deps
-
-echo "==> plan-layer enforcement (no deprecated analyze_* calls outside crates/core)"
-# The analysis plan layer is the single public entry point; the historical
-# AutoSens::analyze* methods are #[deprecated] shims living out one release
-# inside crates/core. No caller elsewhere may construct the stage sequence
-# by hand or call a shim.
-if grep -rnE '\.analyze(_slice|_view|_prepared|_slice_with_ci|_view_with_ci)?\(' \
-    --include='*.rs' crates tests examples | grep -v '^crates/core/'; then
-    echo "ci.sh: deprecated analyze_* call outside crates/core (use AnalysisPlan::run)" >&2
-    exit 1
-fi
+echo "==> cargo doc -q --workspace --no-deps"
+cargo doc -q --workspace --no-deps
 
 echo "==> profiled smoke run (stage spans + finite metrics)"
 # End-to-end observability gate: generate a smoke log, analyze it with
@@ -115,23 +104,41 @@ if ! diff -u "$SMOKE_DIR/core_batch.txt" "$SMOKE_DIR/core_stream.txt"; then
     exit 1
 fi
 
-echo "==> golden analyze gate (byte-identical --json on the pinned fixture)"
+echo "==> golden analyze gate (byte-identical --json on the pinned fixtures)"
 # The columnar refactor (and anything after it) must be behavior-invariant:
 # `analyze --loss-correct=off --json` over the pinned golden telemetry must
 # reproduce the checked-in report byte for byte — curve bits, degradations,
-# counts, all of it. The gate pins correction OFF because the fixture's
-# organic day-to-day variation legitimately engages the loss estimator
-# (default-on output adds a `loss` section and reweighted curves); the
-# uncorrected path is the behavior-invariance contract. Regenerate the
-# fixture ONLY for an intentional, reviewed behavior change:
+# counts, all of it. The fixture's organic day-to-day variation engages the
+# loss estimator (2 cells flagged), so the default-on output adds a `loss`
+# section and reweighted curves; two more fixtures pin those corrected
+# paths, with α on (the weighted α solve) and off (the weighted pooled
+# histogram). Regenerate a fixture ONLY for an intentional, reviewed
+# behavior change:
 #   gzip -dc tests/fixtures/golden_telemetry.csv.gz > /tmp/golden.csv
 #   ./target/release/autosens analyze --in /tmp/golden.csv --json --quiet \
 #       --loss-correct=off > tests/fixtures/golden_analyze.json
+#   ./target/release/autosens analyze --in /tmp/golden.csv --json --quiet \
+#       > tests/fixtures/golden_analyze_loss.json
+#   ./target/release/autosens analyze --in /tmp/golden.csv --json --quiet \
+#       --no-alpha > tests/fixtures/golden_analyze_loss_noalpha.json
 gzip -dc tests/fixtures/golden_telemetry.csv.gz > "$SMOKE_DIR/golden.csv"
 ./target/release/autosens analyze --in "$SMOKE_DIR/golden.csv" --json --quiet \
     --loss-correct=off > "$SMOKE_DIR/golden_report.json"
 if ! diff -u tests/fixtures/golden_analyze.json "$SMOKE_DIR/golden_report.json"; then
     echo "ci.sh: analyze --loss-correct=off diverged from tests/fixtures/golden_analyze.json" >&2
+    exit 1
+fi
+./target/release/autosens analyze --in "$SMOKE_DIR/golden.csv" --json --quiet \
+    > "$SMOKE_DIR/golden_report_loss.json"
+if ! diff -u tests/fixtures/golden_analyze_loss.json "$SMOKE_DIR/golden_report_loss.json"; then
+    echo "ci.sh: loss-corrected analyze diverged from tests/fixtures/golden_analyze_loss.json" >&2
+    exit 1
+fi
+./target/release/autosens analyze --in "$SMOKE_DIR/golden.csv" --json --quiet \
+    --no-alpha > "$SMOKE_DIR/golden_report_loss_noalpha.json"
+if ! diff -u tests/fixtures/golden_analyze_loss_noalpha.json \
+    "$SMOKE_DIR/golden_report_loss_noalpha.json"; then
+    echo "ci.sh: loss-corrected --no-alpha analyze diverged from tests/fixtures/golden_analyze_loss_noalpha.json" >&2
     exit 1
 fi
 

@@ -5,7 +5,7 @@ use std::io::{BufReader, BufWriter};
 
 use autosens_core::locality::{decorrelation_report, density_latency_correlation, locality_report};
 use autosens_core::report::{f3, text_table, PreferenceSummary};
-use autosens_core::{AnalysisPlan, AutoSens, AutoSensConfig, PlanInput, RunOptions};
+use autosens_core::{AnalysisPlan, AutoSensConfig, PlanInput, RunOptions};
 use autosens_faults::FaultPlan;
 use autosens_serve::{serve_http, Agent, AgentConfig, Gateway, GatewayConfig, TenantKey};
 use autosens_sim::{generate_with_threads, SimConfig};
@@ -230,8 +230,8 @@ pub fn run(cmd: Command) -> Result<(), String> {
             slice,
         } => {
             let log = read_log(&input, format)?;
-            let engine = AutoSens::new(AutoSensConfig::default());
-            let report = engine
+            let plan = AnalysisPlan::new(AutoSensConfig::default());
+            let report = plan
                 .full_report(&log, &to_slice(&slice), slice_label(&slice))
                 .map_err(|e| e.to_string())?;
             println!(
@@ -481,8 +481,8 @@ pub fn run(cmd: Command) -> Result<(), String> {
             slice,
         } => {
             let log = read_log(&input, format)?;
-            let engine = AutoSens::new(AutoSensConfig::default());
-            let est = engine
+            let plan = AnalysisPlan::new(AutoSensConfig::default());
+            let est = plan
                 .alpha_by_period(&log, &to_slice(&slice))
                 .map_err(|e| e.to_string())?;
             let rows: Vec<Vec<String>> = est

@@ -27,7 +27,7 @@ use autosens_stats::histogram::Histogram;
 use autosens_telemetry::log::LogView;
 use autosens_telemetry::loss::{loss_cell_index, N_LOSS_CELLS, N_LOSS_CLASSES};
 use autosens_telemetry::record::ActionRecord;
-use autosens_telemetry::time::{DayPeriod, MS_PER_DAY, MS_PER_HOUR};
+use autosens_telemetry::time::{DayPeriod, SimTime, MS_PER_DAY, MS_PER_HOUR};
 
 use crate::config::AutoSensConfig;
 use crate::error::AutoSensError;
@@ -149,14 +149,6 @@ pub struct AlphaEstimate {
 }
 
 impl AlphaEstimate {
-    /// α for a record's group, if usable.
-    pub fn alpha_for(&self, record: &ActionRecord) -> Option<f64> {
-        let hour = record.hour_slot().0;
-        let weekend = record.time.is_weekend_local(record.tz_offset_ms);
-        let g = self.grouping.group_of(hour, weekend);
-        self.groups[g].alpha
-    }
-
     /// The α-normalized pooled biased histogram: each group's counts scaled
     /// by `1/α_T`. Groups without a usable α are excluded.
     pub fn normalized_biased(&self, binner: &Binner) -> Result<Histogram, AutoSensError> {
@@ -296,15 +288,16 @@ pub fn alpha_vs_reference_weighted(
 ///
 /// Cells are strictly finer than every [`Grouping`] (each group is a union
 /// of cells), so one partition serves all groupings *and* the loss-aware
-/// correction, which reweights per cell before regrouping. Group
-/// histograms come out of [`GroupPartition::group_biased`]: an ordered sum
-/// over the group's cells. With unit weights every bin count is a sum of
-/// integer-valued `f64`s (exact in any order below 2^53), so the regrouped
-/// histograms are bit-identical to accumulating per group directly; with
-/// correction weights the fixed cell order makes the weighted sum
+/// correction, whose weighted partition ([`partition_by_group`] with
+/// weights) regroups the same way. Group histograms come out of
+/// [`GroupPartition::group_biased`]: an ordered sum over the group's
+/// cells. With unit weights every bin count is a sum of integer-valued
+/// `f64`s (exact in any order below 2^53), so the regrouped histograms are
+/// bit-identical to accumulating per group directly; with correction
+/// weights the fixed chunk and cell order makes the weighted sum
 /// deterministic for every thread count.
 ///
-/// [`estimate_alpha`] builds this with a chunked map-reduce over the log;
+/// [`partition_by_group`] builds this with a chunked map-reduce over the log;
 /// an incremental caller (the streaming engine) maintains the same partials
 /// per shard and merges them instead. Histogram counts are unit-weight
 /// additions, so partial merges are exact in any order and the merged
@@ -342,14 +335,6 @@ impl GroupPartition {
         self.cell_actions[c] += 1;
     }
 
-    /// Fold one record in with a loss-correction weight on its histogram
-    /// contribution (the action counter stays a raw unit count).
-    pub fn record_weighted(&mut self, r: &ActionRecord, weight: f64) {
-        let c = GroupPartition::cell_of(r);
-        self.cells[c].record_weighted(r.latency_ms, weight);
-        self.cell_actions[c] += 1;
-    }
-
     /// Fold another partition of the same shape into this one.
     pub fn merge(&mut self, other: &GroupPartition) -> Result<(), AutoSensError> {
         if other.cells.len() != self.cells.len() {
@@ -382,39 +367,16 @@ impl GroupPartition {
     }
 
     /// Per-group biased histograms under a grouping: each group is the sum
-    /// of its cells, in cell order. `weights` (one per cell, finite and
-    /// ≥ 1) applies the loss correction; `None` is the exact unit-weight
-    /// path (bit-identical to direct per-group accumulation — see the type
-    /// docs).
-    pub fn group_biased(
-        &self,
-        grouping: Grouping,
-        weights: Option<&[f64]>,
-    ) -> Result<Vec<Histogram>, AutoSensError> {
-        if let Some(w) = weights {
-            if w.len() != self.cells.len() {
-                return Err(AutoSensError::Internal(format!(
-                    "{} cell weights for {} cells",
-                    w.len(),
-                    self.cells.len()
-                )));
-            }
-        }
+    /// of its cells, in cell order (bit-identical to direct per-group
+    /// accumulation with unit weights — see the type docs).
+    pub fn group_biased(&self, grouping: Grouping) -> Result<Vec<Histogram>, AutoSensError> {
         let binner = self.cells[0].binner();
         let mut out = Vec::with_capacity(grouping.n_groups());
         for g in 0..grouping.n_groups() {
             let mut h = Histogram::new(binner.clone());
             for (cell, ch) in self.cells.iter().enumerate() {
-                if !GroupPartition::cell_in_group(grouping, cell, g) {
-                    continue;
-                }
-                match weights.map(|w| w[cell]) {
-                    Some(w) if w != 1.0 => {
-                        let mut scaled = ch.clone();
-                        scaled.scale(w).map_err(AutoSensError::from)?;
-                        h.merge(&scaled).map_err(AutoSensError::from)?;
-                    }
-                    _ => h.merge(ch).map_err(AutoSensError::from)?,
+                if GroupPartition::cell_in_group(grouping, cell, g) {
+                    h.merge(ch).map_err(AutoSensError::from)?;
                 }
             }
             out.push(h);
@@ -422,30 +384,14 @@ impl GroupPartition {
         Ok(out)
     }
 
-    /// The pooled biased histogram over *all* cells, in cell order
-    /// (optionally loss-weighted). This is the no-α-correction counterpart
-    /// of [`GroupPartition::group_biased`]; with unit weights it is
-    /// bit-identical to recording every row directly.
-    pub fn pooled_biased(&self, weights: Option<&[f64]>) -> Result<Histogram, AutoSensError> {
-        if let Some(w) = weights {
-            if w.len() != self.cells.len() {
-                return Err(AutoSensError::Internal(format!(
-                    "{} cell weights for {} cells",
-                    w.len(),
-                    self.cells.len()
-                )));
-            }
-        }
+    /// The pooled biased histogram over *all* cells, in cell order. This is
+    /// the no-α-correction counterpart of [`GroupPartition::group_biased`];
+    /// with unit weights it is bit-identical to recording every row
+    /// directly.
+    pub fn pooled_biased(&self) -> Result<Histogram, AutoSensError> {
         let mut h = Histogram::new(self.cells[0].binner().clone());
-        for (cell, ch) in self.cells.iter().enumerate() {
-            match weights.map(|w| w[cell]) {
-                Some(w) if w != 1.0 => {
-                    let mut scaled = ch.clone();
-                    scaled.scale(w).map_err(AutoSensError::from)?;
-                    h.merge(&scaled).map_err(AutoSensError::from)?;
-                }
-                _ => h.merge(ch).map_err(AutoSensError::from)?,
-            }
+        for ch in &self.cells {
+            h.merge(ch).map_err(AutoSensError::from)?;
         }
         Ok(h)
     }
@@ -467,63 +413,47 @@ impl GroupPartition {
 
 /// Partition a view's actions by loss cell as a chunked map-reduce (each
 /// chunk builds its own per-cell histograms and counters, merged in chunk
-/// order). This is the batch producer of [`GroupPartition`]; rows are read
-/// straight off the view's columns, no records are copied.
+/// order). This is the batch producer of [`GroupPartition`]; the fold reads
+/// the time, timezone, class and latency columns directly, so no records
+/// are copied.
+///
+/// With `weights`, each record's histogram contribution is scaled by
+/// [`LossModel::weight_for`] on its (local day, hour, day kind, class); the
+/// action counters stay raw unit counts. `None` records every row at unit
+/// weight, which is exactly what [`Histogram::record`] does, so a model
+/// whose every weight is 1 reproduces the unweighted partition bit for
+/// bit. Chunk boundaries and the chunk-order merge do not depend on the
+/// weights, so either partition is bit-identical for every thread count.
 pub fn partition_by_group(
     log: &LogView<'_>,
     binner: &Binner,
+    weights: Option<&LossModel>,
     threads: usize,
 ) -> Result<(GroupPartition, ExecReport), AutoSensError> {
+    let label = if weights.is_some() {
+        "alpha_partition_weighted"
+    } else {
+        "alpha_partition"
+    };
     let (partial, report) = autosens_exec::map_reduce(
-        "alpha_partition",
+        label,
         log.len(),
         autosens_exec::scan_chunk_size_for(log.len()),
         threads,
         |_, range| {
             let mut part = GroupPartition::empty(binner);
             for i in range {
-                part.record(&log.get(i));
-            }
-            (part.cells, part.cell_actions)
-        },
-    )?;
-    let (cells, cell_actions) = partial.unwrap_or_else(|| {
-        let empty = GroupPartition::empty(binner);
-        (empty.cells, empty.cell_actions)
-    });
-    Ok((
-        GroupPartition {
-            cells,
-            cell_actions,
-        },
-        report,
-    ))
-}
-
-/// [`partition_by_group`] with per-record loss-correction weights: each
-/// record's histogram contribution is scaled by [`LossModel::weight_for`]
-/// on its (local day, hour, day kind, class). Chunk boundaries and the
-/// chunk-order merge are identical to the unit-weight build, so the
-/// weighted partition is bit-identical for every thread count.
-pub fn partition_by_group_weighted(
-    log: &LogView<'_>,
-    binner: &Binner,
-    model: &LossModel,
-    threads: usize,
-) -> Result<(GroupPartition, ExecReport), AutoSensError> {
-    let (partial, report) = autosens_exec::map_reduce(
-        "alpha_partition_weighted",
-        log.len(),
-        autosens_exec::scan_chunk_size_for(log.len()),
-        threads,
-        |_, range| {
-            let mut part = GroupPartition::empty(binner);
-            for i in range {
-                let r = log.get(i);
-                let day = r.time.day_local(r.tz_offset_ms);
-                let weekend = r.time.is_weekend_local(r.tz_offset_ms);
-                let w = model.weight_for(day, r.hour_slot().0, weekend, r.class.code());
-                part.record_weighted(&r, w);
+                let time = SimTime(log.time_at(i));
+                let tz = log.tz_offset_at(i);
+                let hour = time.hour_of_day_local(tz);
+                let weekend = time.is_weekend_local(tz);
+                let class = log.class_at(i);
+                let w = weights.map_or(1.0, |m| {
+                    m.weight_for(time.day_local(tz), hour, weekend, class)
+                });
+                let c = loss_cell_index(hour, weekend, class);
+                part.cells[c].record_weighted(log.latency_at(i), w);
+                part.cell_actions[c] += 1;
             }
             (part.cells, part.cell_actions)
         },
@@ -543,80 +473,57 @@ pub fn partition_by_group_weighted(
 
 /// Estimate α over a log.
 ///
-/// The log must be sorted and non-empty. `n_days` bounds the day windows
-/// used for the group-conditional unbiased draws; it is derived from the
-/// log's span.
+/// The log must be sorted and non-empty. The group windows for the
+/// group-conditional unbiased draws are derived from the log's span.
+///
+/// When `partition` is `Some`, the per-cell rescan of the log is skipped
+/// and the supplied partials are used directly — this is how the streaming
+/// engine turns its incrementally maintained shard state into an α
+/// estimate without re-walking history. The partition must cover exactly
+/// the records of `log` under the same `binner`.
+///
+/// With a `loss` model the system is solved twice from one set of inputs:
+/// once with the loss model's per-record weights (cell × day factor)
+/// baked into the biased histograms of *both* the group and the reference
+/// via a weighted rescan ([`partition_by_group`] with weights), returned
+/// first, and once with the raw per-group counts, returned second as the
+/// naive estimate (bit-identical to a run without `loss`). Reference
+/// selection, draw skipping and the reported `n_actions` use the raw
+/// counts in both solves; only the biased masses differ. The RNG-bearing
+/// stage (group-conditional unbiased draws) runs exactly once either way,
+/// so the caller's RNG consumption does not depend on `partition` or
+/// `loss`. The scheduling reports of every job ride on the first
+/// estimate.
 pub fn estimate_alpha<R: Rng>(
     log: &LogView<'_>,
     binner: &Binner,
     grouping: Grouping,
     cfg: &AutoSensConfig,
     rng: &mut R,
-) -> Result<AlphaEstimate, AutoSensError> {
-    estimate_alpha_with_partition(log, binner, grouping, cfg, rng, None)
-}
-
-/// [`estimate_alpha`] with an optional precomputed [`GroupPartition`].
-///
-/// When `partition` is `Some`, the per-group rescan of the log is skipped
-/// and the supplied partials are used directly — this is how the streaming
-/// engine turns its incrementally maintained shard state into an α
-/// estimate without re-walking history. The partition must cover exactly
-/// the records of `log` under the same `binner` and `grouping`; the RNG-
-/// bearing stages (group-conditional unbiased draws) always run over the
-/// full log, so the caller's RNG consumption is identical either way.
-pub fn estimate_alpha_with_partition<R: Rng>(
-    log: &LogView<'_>,
-    binner: &Binner,
-    grouping: Grouping,
-    cfg: &AutoSensConfig,
-    rng: &mut R,
     partition: Option<GroupPartition>,
-) -> Result<AlphaEstimate, AutoSensError> {
+    loss: Option<&LossModel>,
+) -> Result<(AlphaEstimate, Option<AlphaEstimate>), AutoSensError> {
     let (part, mut inputs) = build_alpha_inputs(log, binner, grouping, cfg, rng, partition)?;
-    let biased = part.group_biased(grouping, None)?;
+    let raw_biased = part.group_biased(grouping)?;
+    let Some(model) = loss else {
+        let exec_reports = std::mem::take(&mut inputs.exec_reports);
+        let est = solve_alpha(grouping, &inputs, binner, cfg, raw_biased, exec_reports);
+        return Ok((est, None));
+    };
+    let (weighted, weighted_report) = partition_by_group(log, binner, Some(model), cfg.threads)?;
+    inputs.exec_reports.push(weighted_report);
+    let corrected_biased = weighted.group_biased(grouping)?;
     let exec_reports = std::mem::take(&mut inputs.exec_reports);
-    Ok(solve_alpha(
+    let naive = solve_alpha(grouping, &inputs, binner, cfg, raw_biased, Vec::new());
+    let corrected = solve_alpha(
         grouping,
         &inputs,
         binner,
         cfg,
-        biased,
+        corrected_biased,
         exec_reports,
-    ))
-}
-
-/// [`estimate_alpha`] solved twice from one set of inputs: once with the
-/// raw per-group counts (the naive estimate — bit-identical to
-/// [`estimate_alpha_with_partition`] on the same log and RNG state) and
-/// once with the loss `model`'s per-record weights (cell × day factor,
-/// [`LossModel::weight_for`]) baked into the biased histograms of *both*
-/// the group and the reference via a weighted rescan of the log
-/// ([`partition_by_group_weighted`]). The RNG-bearing stage
-/// (group-conditional unbiased draws) runs exactly once, so the caller's
-/// RNG consumption matches the plain estimator's.
-///
-/// Reference selection, draw skipping, and the reported `n_actions` use
-/// the raw counts in both solves; only the biased masses differ.
-#[allow(clippy::too_many_arguments)]
-pub fn estimate_alpha_corrected<R: Rng>(
-    log: &LogView<'_>,
-    binner: &Binner,
-    grouping: Grouping,
-    cfg: &AutoSensConfig,
-    rng: &mut R,
-    partition: Option<GroupPartition>,
-    model: &LossModel,
-) -> Result<(AlphaEstimate, AlphaEstimate), AutoSensError> {
-    let (part, mut inputs) = build_alpha_inputs(log, binner, grouping, cfg, rng, partition)?;
-    let naive_biased = part.group_biased(grouping, None)?;
-    let (weighted, weighted_report) = partition_by_group_weighted(log, binner, model, cfg.threads)?;
-    inputs.exec_reports.push(weighted_report);
-    let corrected_biased = weighted.group_biased(grouping, None)?;
-    let exec_reports = std::mem::take(&mut inputs.exec_reports);
-    let naive = solve_alpha(grouping, &inputs, binner, cfg, naive_biased, exec_reports);
-    let corrected = solve_alpha(grouping, &inputs, binner, cfg, corrected_biased, Vec::new());
-    Ok((naive, corrected))
+    );
+    Ok((corrected, Some(naive)))
 }
 
 /// Everything α estimation derives from the log besides the per-group
@@ -673,7 +580,7 @@ fn build_alpha_inputs<R: Rng>(
             part
         }
         None => {
-            let (part, report) = partition_by_group(log, binner, cfg.threads)?;
+            let (part, report) = partition_by_group(log, binner, None, cfg.threads)?;
             exec_reports.push(report);
             part
         }
@@ -1038,6 +945,48 @@ mod tests {
             assert!((b.unwrap() - 1.0).abs() < 1e-12);
         }
         assert!((mean.unwrap() - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn unit_weight_fold_is_bit_identical_to_the_unweighted_fold() {
+        use crate::lossmodel::DayWeights;
+        use autosens_sim::{generate, Scenario, SimConfig};
+        let (log, _) = generate(&SimConfig::scenario(Scenario::Smoke)).unwrap();
+        let view = log.view();
+        let binner = AutoSensConfig::default().binner().unwrap();
+        // Every cell and every day weight is exactly 1, so the weighted fold
+        // also walks the day lookup for every record.
+        let first = SimTime(view.time_at(0)).day_local(-14 * MS_PER_HOUR);
+        let last = SimTime(view.time_at(view.len() - 1)).day_local(14 * MS_PER_HOUR);
+        let ones = LossModel {
+            weights: vec![1.0; N_LOSS_CELLS],
+            cells: Vec::new(),
+            day_weights: (first..=last)
+                .map(|day| DayWeights {
+                    day,
+                    weights: vec![1.0; 24],
+                })
+                .collect(),
+            overall_rate: 0.0,
+        };
+        let (plain, _) = partition_by_group(&view, &binner, None, 1).unwrap();
+        assert_eq!(plain.n_records(), view.len() as u64);
+        for threads in [1, 2, 4, 8] {
+            let (unit, report) = partition_by_group(&view, &binner, Some(&ones), threads).unwrap();
+            assert_eq!(report.label, "alpha_partition_weighted");
+            assert_eq!(unit.cell_actions, plain.cell_actions, "threads={threads}");
+            for (a, b) in unit.cells.iter().zip(&plain.cells) {
+                let bits =
+                    |h: &Histogram| h.counts().iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(a), bits(b), "threads={threads}");
+                assert_eq!(
+                    a.total().to_bits(),
+                    b.total().to_bits(),
+                    "threads={threads}"
+                );
+                assert_eq!(a.n_recorded(), b.n_recorded(), "threads={threads}");
+            }
+        }
     }
 
     #[test]

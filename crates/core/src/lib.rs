@@ -52,8 +52,10 @@
 //! * [`unbiased`] — the `U` estimator (random instants, nearest sample).
 //! * [`alpha`] — time-confounder activity factors (§2.4.1, Table 1, Fig 8).
 //! * [`preference`] — ratio, smoothing, normalization (§2.3).
-//! * [`plan`] — the operator DAG and the single analysis entry point.
-//! * [`pipeline`] — the [`AutoSens`] façade and per-slice analyses.
+//! * [`plan`] — [`AnalysisPlan`], the analysis engine, and its single
+//!   entry point [`AnalysisPlan::run`]; the stage names.
+//! * [`pipeline`] — the report types and the per-slice drivers
+//!   (per action type, user class, latency quartile, day period, month).
 //! * [`lossmodel`] — loss-aware inverse-observation-probability weights.
 //! * [`locality`] — the §2.1 diagnostics (Figures 1 and 2).
 //! * [`bottleneck`] — the §3.5 preference-vs-bottleneck analysis.
@@ -75,10 +77,10 @@ pub mod preference;
 pub mod report;
 pub mod unbiased;
 
-pub use alpha::{partition_by_group, GroupPartition, Grouping};
+pub use alpha::{GroupPartition, Grouping};
 pub use config::AutoSensConfig;
 pub use error::AutoSensError;
 pub use lossmodel::LossModel;
-pub use pipeline::{AutoSens, DecaySpec, LossReport, Prepared, WindowedCurve};
+pub use pipeline::{DecaySpec, LossReport, WindowedCurve};
 pub use plan::{AnalysisPlan, PlanInput, PlanPartials, PreparedMeta, RunOptions};
 pub use preference::NormalizedPreference;

@@ -146,16 +146,6 @@ impl LossModel {
         }
     }
 
-    /// A model that corrects nothing (unit weights).
-    pub fn identity() -> LossModel {
-        LossModel {
-            weights: vec![1.0; N_LOSS_CELLS],
-            cells: Vec::new(),
-            day_weights: Vec::new(),
-            overall_rate: 0.0,
-        }
-    }
-
     /// The correction weight of one record: its cell weight times its
     /// day-localized weight, clamped to [`MAX_WEIGHT`].
     ///
@@ -228,11 +218,8 @@ mod tests {
         let model = LossModel::from_evidence(&evidence_with(&[]));
         assert!(model.is_noop());
         assert!(model.weights.iter().all(|&w| w == 1.0));
-        assert_eq!(model, {
-            let mut id = LossModel::identity();
-            id.overall_rate = model.overall_rate;
-            id
-        });
+        assert_eq!(model.weights.len(), N_LOSS_CELLS);
+        assert!(model.cells.is_empty() && model.day_weights.is_empty());
     }
 
     #[test]

@@ -1,46 +1,27 @@
-//! The [`AutoSens`] façade: end-to-end analysis of a telemetry log, plus the
-//! per-slice drivers behind each of the paper's evaluation sections.
+//! The analysis report types and the per-slice drivers behind each of the
+//! paper's evaluation sections, all running through
+//! [`AnalysisPlan::run`]'s sanitize → downstream path.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use autosens_exec::ExecReport;
-use autosens_obs::{Recorder, Span, StageTiming};
+use autosens_obs::StageTiming;
 use autosens_stats::histogram::Histogram;
 use autosens_telemetry::log::{LogView, TelemetryLog};
-use autosens_telemetry::loss::{estimate_cell_loss_par, LossCounts};
 use autosens_telemetry::query::Slice;
 use autosens_telemetry::record::{ActionType, UserClass};
 use autosens_telemetry::time::{DayPeriod, Month};
 use autosens_telemetry::users::{latency_quartiles, LatencyQuartiles};
 
-use crate::alpha::{
-    estimate_alpha, estimate_alpha_corrected, estimate_alpha_with_partition,
-    partition_by_group_weighted, AlphaEstimate, GroupPartition, Grouping,
-};
-use crate::biased::biased_histogram;
-use crate::config::AutoSensConfig;
+use crate::alpha::{estimate_alpha, AlphaEstimate, Grouping};
 use crate::error::AutoSensError;
-use crate::lossmodel::{CellCorrection, LossModel};
-use crate::plan::op;
-use crate::plan::PreparedMeta;
+use crate::lossmodel::CellCorrection;
+use crate::plan::{AnalysisPlan, PlanInput, RunOptions};
 use crate::preference::NormalizedPreference;
-use crate::unbiased::{decay_weight, unbiased_histogram_decayed_par, unbiased_histogram_par};
 
-/// The per-quartile analyses of [`AutoSens::by_latency_quartile`]:
+/// The per-quartile analyses of [`AnalysisPlan::by_latency_quartile`]:
 /// quartile index (0 = Q1, fastest users) paired with that slice's result.
 pub type QuartileAnalyses = Vec<(usize, Result<AnalysisReport, AutoSensError>)>;
-
-/// The span names of the documented pipeline stages, in execution order —
-/// an alias of [`crate::plan::op::STAGE_NAMES`], which derives from the
-/// [operator table](crate::plan::op::OPERATORS). Every analysis run (with
-/// the α correction enabled) produces exactly one span per stage under
-/// its `"analyze"` root.
-pub const STAGES: &[&str] = crate::plan::op::STAGE_NAMES;
-
-/// The additional stage traced when a CI bootstrap is requested — an
-/// alias of [`crate::plan::op::CI_BOOTSTRAP`]'s name.
-pub const CI_STAGE: &str = crate::plan::op::CI_BOOTSTRAP.name;
 
 /// A recoverable data-quality problem the pipeline worked around instead of
 /// aborting. An [`AnalysisReport`] carrying degradations is still a valid
@@ -57,42 +38,6 @@ impl std::fmt::Display for Degradation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "[{}] {}", self.stage, self.detail)
     }
-}
-
-/// A sanitized log ready for the post-sanitize pipeline stages, produced by
-/// a caller that has already done the filter / sort / dedup work itself.
-///
-/// The batch path ([`AutoSens::analyze_slice`]) sanitizes internally; an
-/// incremental caller (the streaming engine) maintains sanitized state
-/// continuously and enters the pipeline here via
-/// [`AutoSens::analyze_prepared`]. For the resulting report to be
-/// bit-identical to the batch path, `log` must equal what batch sanitize
-/// would produce for the same input: filtered to the slice's successes,
-/// stably sorted by time, exact duplicates removed keep-first.
-#[derive(Debug, Clone)]
-pub struct Prepared {
-    /// The sanitized (sorted, deduplicated) log of successful actions.
-    pub log: TelemetryLog,
-    /// Degradations observed while preparing (out-of-order arrival,
-    /// duplicates removed, …), in the order batch sanitize would report
-    /// them: re-sort first, then duplicate removal.
-    pub degradations: Vec<Degradation>,
-    /// Records that entered sanitize after filtering (pre-dedup count).
-    pub records_in: usize,
-    /// Records dropped by deduplication.
-    pub records_dropped: usize,
-    /// Optional precomputed per-group partition matching `log` exactly; when
-    /// present the α stage skips its rescan of the log.
-    pub partition: Option<GroupPartition>,
-    /// Optional precomputed per-day loss-cell observation counts matching
-    /// `log` exactly; when present the lossmodel stage skips its rescan.
-    pub loss_counts: Option<LossCounts>,
-    /// Optional windowed-decay request: when present, the report also
-    /// carries an exponentially-decayed windowed preference curve (see
-    /// [`WindowedCurve`]). The lifetime curve is unaffected either way —
-    /// the windowed stage runs on its own RNG stream after every lifetime
-    /// stage has consumed exactly what it always consumed.
-    pub decay: Option<DecaySpec>,
 }
 
 /// How to decay the windowed preference curve: each record (and each
@@ -172,581 +117,41 @@ pub struct AnalysisReport {
     /// bit-identical to a `loss_correct: false` run.
     pub loss: Option<LossReport>,
     /// The windowed decayed curve (present only when the caller asked for
-    /// one via [`Prepared::decay`]; never part of the batch output).
+    /// one via [`PreparedMeta::decay`](crate::plan::PreparedMeta::decay);
+    /// never part of the batch output).
     pub windowed: Option<WindowedCurve>,
     /// Data-quality problems survived along the way (empty on clean input).
     pub degradations: Vec<Degradation>,
-    /// Wall-clock time per pipeline stage (see [`STAGES`]), in execution
+    /// Wall-clock time per pipeline stage (see [`crate::plan::STAGES`]), in execution
     /// order. `None` only for reports built before instrumentation ran
     /// (e.g. deserialized from older artifacts).
     pub stage_timings: Option<Vec<StageTiming>>,
 }
 
-/// The AutoSens analysis engine.
-#[derive(Debug, Clone)]
-pub struct AutoSens {
-    config: AutoSensConfig,
-    recorder: Recorder,
+/// The slice's successful actions in time order: a borrowed selection over
+/// sorted input, one materialized copy (held in `owned`) otherwise.
+fn sorted_successes<'a>(
+    log: &'a TelemetryLog,
+    slice: &Slice,
+    owned: &'a mut Option<TelemetryLog>,
+) -> LogView<'a> {
+    let selected = slice.clone().successes().select(log);
+    if selected.is_sorted() {
+        selected
+    } else {
+        owned.insert(selected.materialize()).view()
+    }
 }
 
-impl AutoSens {
-    /// Create an engine with a configuration (validated at analysis time).
-    ///
-    /// The engine times its stages (so reports carry `stage_timings`) but
-    /// does not buffer trace spans; use [`AutoSens::with_recorder`] to
-    /// collect a full span tree and per-analysis metrics.
-    pub fn new(config: AutoSensConfig) -> Self {
-        AutoSens {
-            config,
-            recorder: Recorder::disabled(),
-        }
-    }
-
-    /// Create an engine that records spans and metrics into `recorder`.
-    pub fn with_recorder(config: AutoSensConfig, recorder: Recorder) -> Self {
-        AutoSens { config, recorder }
-    }
-
-    /// The engine's recorder (drain it with [`Recorder::finish`] after a
-    /// run to obtain the span tree; its metrics registry holds the
-    /// pipeline counters).
-    pub fn recorder(&self) -> &Recorder {
-        &self.recorder
-    }
-
-    /// The engine's configuration.
-    pub fn config(&self) -> &AutoSensConfig {
-        &self.config
-    }
-
-    /// Feed one data-parallel job's scheduling report into the obs layer:
-    /// a chunk counter plus one child span per worker (timing carried in
-    /// the `wall_ms` field — the work already happened).
-    fn record_exec(&self, parent: &Span, exec: &ExecReport) {
-        self.recorder
-            .metrics()
-            .counter("autosens_exec_chunks_total")
-            .add(exec.n_chunks as u64);
-        for w in &exec.workers {
-            let mut span = parent.child("exec_worker");
-            span.field("job", exec.label.clone());
-            span.field("worker", w.worker);
-            span.field("chunks", w.chunks);
-            span.field("steals", w.steals);
-            span.field("wall_ms", w.wall_ms);
-            span.finish();
-        }
-    }
-
-    /// Analyze a full log (successful actions only, as in the paper).
-    #[deprecated(note = "use plan::AnalysisPlan::run with PlanInput::log — \
-                         the single analysis entry point")]
-    pub fn analyze(&self, log: &TelemetryLog) -> Result<AnalysisReport, AutoSensError> {
-        self.analyze_view_impl(&log.view(), &Slice::all())
-    }
-
-    /// Analyze one slice of a log.
-    #[deprecated(note = "use plan::AnalysisPlan::run with PlanInput::slice — \
-                         the single analysis entry point")]
-    pub fn analyze_slice(
+impl AnalysisPlan {
+    /// One slice through [`AnalysisPlan::run`], report only.
+    fn analyze_slice(
         &self,
         log: &TelemetryLog,
         slice: &Slice,
     ) -> Result<AnalysisReport, AutoSensError> {
-        self.analyze_view_impl(&log.view(), slice)
-    }
-
-    /// Analyze one slice of a borrowed [`LogView`].
-    #[deprecated(note = "use plan::AnalysisPlan::run with PlanInput::view — \
-                         the single analysis entry point")]
-    pub fn analyze_view(
-        &self,
-        view: &LogView<'_>,
-        slice: &Slice,
-    ) -> Result<AnalysisReport, AutoSensError> {
-        self.analyze_view_impl(view, slice)
-    }
-
-    /// The batch pipeline over a borrowed view — the zero-copy ingest
-    /// path. A memory-mapped container's columns flow from disk to the
-    /// analysis kernels through this without materializing a row; the
-    /// log/slice input shapes are exactly this over `log.view()`, so all
-    /// shapes produce bit-identical reports for the same rows.
-    pub(crate) fn analyze_view_impl(
-        &self,
-        view: &LogView<'_>,
-        slice: &Slice,
-    ) -> Result<AnalysisReport, AutoSensError> {
-        // Validate the configuration before doing any work.
-        self.config.binner()?;
-        let mut degradations = Vec::new();
-        let mut timings: Vec<StageTiming> = Vec::new();
-        let root = self.recorder.root("analyze");
-
-        // Sanitize: real telemetry arrives out of order (shard merges, clock
-        // skew) and duplicated (re-delivered upload batches). Repair what is
-        // repairable and record the repair instead of failing. Slicing
-        // re-sorts as a side effect, so the order check looks at the input.
-        let mut span = root.child(op::SANITIZE.name);
-        if !view.is_sorted() {
-            degradations.push(Degradation {
-                stage: op::SANITIZE.name.into(),
-                detail: "records arrived out of time order; re-sorted".into(),
-            });
-        }
-        let (selected, filter_report) = slice
-            .clone()
-            .successes()
-            .select_par_view(view, self.config.threads)?;
-        self.record_exec(&span, &filter_report);
-        let records_in = selected.len();
-        // A selection over a sorted log is already in time order, so the
-        // whole sanitize stage runs over the borrowed view without copying
-        // a single row. Degraded (out-of-order) input falls back to one
-        // materialized copy, exactly the old filter/sort/dedup sequence.
-        let owned;
-        let (sub, removed, copied) = if selected.is_sorted() {
-            let (clean, removed, dedup_report) = selected.dedup_exact_par(self.config.threads);
-            if let Some(report) = &dedup_report {
-                self.record_exec(&span, report);
-            }
-            (clean, removed, 0)
-        } else {
-            let mut m = selected.materialize();
-            m.ensure_sorted();
-            let removed = m.dedup_exact_par(self.config.threads);
-            owned = m;
-            (owned.view(), removed, records_in)
-        };
-        if removed > 0 {
-            degradations.push(Degradation {
-                stage: op::SANITIZE.name.into(),
-                detail: format!("removed {removed} exact duplicate records"),
-            });
-        }
-        span.field("records_in", records_in);
-        span.field("records_dropped", removed);
-        timings.push(StageTiming {
-            stage: op::SANITIZE.name.into(),
-            wall_ms: span.finish(),
-        });
-        self.finish_analysis(
-            &sub,
-            degradations,
-            records_in,
-            removed,
-            copied,
-            None,
-            None,
-            None,
-            root,
-            timings,
-        )
-    }
-
-    /// Run the post-sanitize pipeline stages over an externally prepared
-    /// log (see [`Prepared`]).
-    #[deprecated(note = "use plan::AnalysisPlan::run with PlanInput::prepared — \
-                         the single analysis entry point")]
-    pub fn analyze_prepared(&self, prepared: Prepared) -> Result<AnalysisReport, AutoSensError> {
-        let Prepared {
-            log,
-            degradations,
-            records_in,
-            records_dropped,
-            partition,
-            loss_counts,
-            decay,
-        } = prepared;
-        self.analyze_prepared_raw(
-            &log,
-            degradations,
-            records_in,
-            records_dropped,
-            partition,
-            loss_counts,
-            decay,
-        )
-    }
-
-    /// The plan layer's prepared-input path (see
-    /// [`PlanInput::Prepared`](crate::plan::PlanInput::Prepared)):
-    /// unbundle the cached partials and run everything past sanitize.
-    ///
-    /// This is the incremental entry: the streaming engine merges its
-    /// shard state into a [`PreparedMeta`] and obtains an
-    /// [`AnalysisReport`] bit-identical to what the batch path would
-    /// produce over the same records — every RNG-bearing stage runs from
-    /// the same `StdRng::seed_from_u64(config.seed)` over the same
-    /// sanitized record sequence. The run still traces one span per
-    /// documented stage (the `"sanitize"` span carries the caller's
-    /// counts; its wall time reflects only bookkeeping).
-    pub(crate) fn analyze_prepared_impl(
-        &self,
-        log: &TelemetryLog,
-        meta: PreparedMeta,
-    ) -> Result<AnalysisReport, AutoSensError> {
-        let PreparedMeta {
-            degradations,
-            records_in,
-            records_dropped,
-            partials,
-            decay,
-        } = meta;
-        let (partition, loss_counts) = match partials {
-            Some(p) => (Some(p.partition), Some(p.loss)),
-            None => (None, None),
-        };
-        self.analyze_prepared_raw(
-            log,
-            degradations,
-            records_in,
-            records_dropped,
-            partition,
-            loss_counts,
-            decay,
-        )
-    }
-
-    /// Shared body of the prepared paths: a bookkeeping sanitize span,
-    /// then everything downstream.
-    #[allow(clippy::too_many_arguments)]
-    fn analyze_prepared_raw(
-        &self,
-        log: &TelemetryLog,
-        degradations: Vec<Degradation>,
-        records_in: usize,
-        records_dropped: usize,
-        partition: Option<GroupPartition>,
-        loss_counts: Option<LossCounts>,
-        decay: Option<DecaySpec>,
-    ) -> Result<AnalysisReport, AutoSensError> {
-        log.require_sorted()?;
-        let root = self.recorder.root("analyze");
-        let mut timings: Vec<StageTiming> = Vec::new();
-        let mut span = root.child(op::SANITIZE.name);
-        span.field("records_in", records_in);
-        span.field("records_dropped", records_dropped);
-        timings.push(StageTiming {
-            stage: op::SANITIZE.name.into(),
-            wall_ms: span.finish(),
-        });
-        self.finish_analysis(
-            &log.view(),
-            degradations,
-            records_in,
-            records_dropped,
-            0,
-            partition,
-            loss_counts,
-            decay,
-            root,
-            timings,
-        )
-    }
-
-    /// Everything downstream of sanitize: grouping, α estimation, the
-    /// biased/unbiased PDFs, smoothing and normalization, metrics, and
-    /// report assembly. Shared verbatim by the batch and prepared entry
-    /// points — this is what makes streaming snapshots bit-identical to
-    /// batch analyses.
-    #[allow(clippy::too_many_arguments)]
-    fn finish_analysis(
-        &self,
-        sub: &LogView<'_>,
-        mut degradations: Vec<Degradation>,
-        records_in: usize,
-        removed: usize,
-        copied: usize,
-        partition: Option<GroupPartition>,
-        loss_counts: Option<LossCounts>,
-        decay: Option<DecaySpec>,
-        mut root: Span,
-        mut timings: Vec<StageTiming>,
-    ) -> Result<AnalysisReport, AutoSensError> {
-        let binner = self.config.binner()?;
-        if sub.is_empty() {
-            return Err(AutoSensError::EmptySlice(
-                "slice selected no successful actions".into(),
-            ));
-        }
-        let mut rng = StdRng::seed_from_u64(self.config.seed);
-
-        // Loss model: estimate per-cell telemetry loss from in-band
-        // evidence (duplicate/sequence-gap + volume-shortfall signals on
-        // the sanitized view). The stage always runs — the loss-rate
-        // gauges report even when the correction is disabled — but it
-        // consumes no randomness, so an inactive correction leaves every
-        // downstream bit unchanged.
-        let mut span = root.child(op::LOSSMODEL.name);
-        let counts =
-            loss_counts.unwrap_or_else(|| LossCounts::from_view_par(sub, self.config.threads));
-        let evidence = estimate_cell_loss_par(sub, &counts, self.config.threads);
-        let model = LossModel::from_evidence(&evidence);
-        let correct = self.config.loss_correct && !model.is_noop();
-        span.field("cells_flagged", model.cells.len());
-        span.field("active", usize::from(correct));
-        {
-            let metrics = self.recorder.metrics();
-            metrics.gauge("autosens_loss_rate").set(model.overall_rate);
-            for c in &model.cells {
-                metrics
-                    .gauge(&format!("autosens_loss_rate_{}", c.label))
-                    .set(c.rate);
-            }
-        }
-        timings.push(StageTiming {
-            stage: op::LOSSMODEL.name.into(),
-            wall_ms: span.finish(),
-        });
-
-        let grouping = if self.config.weekday_weekend_slots {
-            Grouping::HourSlotsByDayKind
-        } else {
-            Grouping::HourSlots
-        };
-        let (biased, unbiased, alpha, naive) = if self.config.alpha_correction {
-            let mut span = root.child(op::ALPHA.name);
-            span.field("groups", grouping.n_groups());
-            // With an active correction the α system is solved twice from
-            // one set of inputs (one RNG-bearing draw stage): once naive,
-            // once with the loss weights applied to the biased masses.
-            let (est, naive_est) = if correct {
-                let (naive_est, est) = estimate_alpha_corrected(
-                    sub,
-                    &binner,
-                    grouping,
-                    &self.config,
-                    &mut rng,
-                    partition,
-                    &model,
-                )?;
-                (est, Some(naive_est))
-            } else {
-                let est = estimate_alpha_with_partition(
-                    sub,
-                    &binner,
-                    grouping,
-                    &self.config,
-                    &mut rng,
-                    partition,
-                )?;
-                (est, None)
-            };
-            for r in &naive_est.as_ref().unwrap_or(&est).exec_reports {
-                self.record_exec(&span, r);
-            }
-            // Groups with data but no usable α are dropped from the pooled
-            // histograms; surface each exclusion as a degradation so the
-            // operator knows which time windows the curve no longer covers.
-            for g in &est.groups {
-                if g.n_actions > 0 && g.alpha.is_none() {
-                    degradations.push(Degradation {
-                        stage: op::ALPHA.name.into(),
-                        detail: format!(
-                            "group {} ({} actions) excluded: no usable alpha",
-                            g.label, g.n_actions
-                        ),
-                    });
-                }
-            }
-            timings.push(StageTiming {
-                stage: op::ALPHA.name.into(),
-                wall_ms: span.finish(),
-            });
-            let span = root.child(op::BIASED_PDF.name);
-            let b = est.normalized_biased(&binner)?;
-            let naive_b = naive_est
-                .as_ref()
-                .map(|n| n.normalized_biased(&binner))
-                .transpose()?;
-            timings.push(StageTiming {
-                stage: op::BIASED_PDF.name.into(),
-                wall_ms: span.finish(),
-            });
-            let span = root.child(op::UNBIASED_PDF.name);
-            let u = est.pooled_unbiased(&binner)?;
-            let naive_u = naive_est
-                .as_ref()
-                .map(|n| n.pooled_unbiased(&binner))
-                .transpose()?;
-            timings.push(StageTiming {
-                stage: op::UNBIASED_PDF.name.into(),
-                wall_ms: span.finish(),
-            });
-            (b, u, Some(est), naive_b.zip(naive_u))
-        } else {
-            let span = root.child(op::BIASED_PDF.name);
-            let naive_b = biased_histogram(sub, &binner);
-            let b = if correct {
-                // Reweight without α: the pooled biased histogram is the
-                // per-record weighted sum (cell × day factor). The weights
-                // depend on each record's calendar day, so a precomputed
-                // unit-weight partition cannot be reused here — the
-                // weighted rescan is the only loss-correct path over the
-                // view.
-                let (wpart, report) =
-                    partition_by_group_weighted(sub, &binner, &model, self.config.threads)?;
-                self.record_exec(&span, &report);
-                if wpart.n_records() != sub.len() as u64 {
-                    return Err(AutoSensError::Internal(format!(
-                        "group partition covers {} actions, log has {}",
-                        wpart.n_records(),
-                        sub.len()
-                    )));
-                }
-                wpart.pooled_biased(None)?
-            } else {
-                naive_b.clone()
-            };
-            timings.push(StageTiming {
-                stage: op::BIASED_PDF.name.into(),
-                wall_ms: span.finish(),
-            });
-            let mut span = root.child(op::UNBIASED_PDF.name);
-            span.field("draws", self.config.unbiased_draws);
-            let (u, draw_report) = unbiased_histogram_par(
-                sub,
-                &binner,
-                self.config.unbiased_draws,
-                self.config.threads,
-                &mut rng,
-            )?;
-            self.record_exec(&span, &draw_report);
-            timings.push(StageTiming {
-                stage: op::UNBIASED_PDF.name.into(),
-                wall_ms: span.finish(),
-            });
-            let naive = correct.then(|| (naive_b, u.clone()));
-            (b, u, None, naive)
-        };
-
-        let preference = NormalizedPreference::fit_traced(
-            &biased,
-            &unbiased,
-            &self.config,
-            &root,
-            &mut timings,
-        )?;
-
-        // The naive side-channel curve re-fits with the same config but no
-        // tracing (the smoothing/normalization stage spans describe the
-        // corrected curve, which is the report's primary output).
-        let loss = naive.map(|(naive_biased, naive_unbiased)| LossReport {
-            overall_rate: model.overall_rate,
-            cells: model.cells.clone(),
-            naive_preference: NormalizedPreference::fit(
-                &naive_biased,
-                &naive_unbiased,
-                &self.config,
-            )
-            .ok(),
-            naive_biased,
-            naive_unbiased,
-        });
-
-        // Windowed decayed curve: an incident-tracking view of the same
-        // records, computed last on its own RNG stream so that — present or
-        // absent — every lifetime stage above keeps its exact byte output.
-        let windowed = decay
-            .map(|spec| self.windowed_curve(sub, spec, &root, &mut timings))
-            .transpose()?;
-
-        let metrics = self.recorder.metrics();
-        metrics.counter("autosens_core_analyses_total").inc();
-        metrics
-            .counter("autosens_core_records_read_total")
-            .add(records_in as u64);
-        metrics
-            .counter("autosens_core_records_dropped_total")
-            .add(removed as u64);
-        metrics
-            .counter("autosens_core_degradations_total")
-            .add(degradations.len() as u64);
-        // Zero-copy accounting: rows analyzed through borrowed views vs
-        // rows physically copied to repair degraded input. Both register
-        // (even at zero) so batch and streaming runs expose the same set.
-        metrics
-            .counter("autosens_core_view_rows_total")
-            .add(sub.len() as u64);
-        metrics
-            .counter("autosens_core_rows_copied_total")
-            .add(copied as u64);
-        for d in &degradations {
-            metrics
-                .counter(&format!("autosens_core_degradations_{}_total", d.stage))
-                .inc();
-        }
-        root.field("n_actions", sub.len());
-        root.field("degradations", degradations.len());
-
-        Ok(AnalysisReport {
-            preference,
-            alpha,
-            n_actions: sub.len() as u64,
-            biased,
-            unbiased,
-            loss,
-            windowed,
-            degradations,
-            stage_timings: Some(timings),
-        })
-    }
-
-    /// Compute the exponentially-decayed windowed curve (see
-    /// [`WindowedCurve`]): a decayed-weight sweep for `B_w`, the decayed
-    /// draw estimator for `U_w`, and a fit with the same smoothing /
-    /// normalization config as the lifetime curve but no α correction —
-    /// the decayed horizon covers too few occurrences of each hour slot
-    /// for stable per-slot activity factors.
-    fn windowed_curve(
-        &self,
-        sub: &LogView<'_>,
-        spec: DecaySpec,
-        root: &Span,
-        timings: &mut Vec<StageTiming>,
-    ) -> Result<WindowedCurve, AutoSensError> {
-        if spec.half_life_ms <= 0 {
-            return Err(AutoSensError::BadConfig(
-                "decay half-life must be > 0 ms".into(),
-            ));
-        }
-        let binner = self.config.binner()?;
-        let mut span = root.child(op::WINDOWED_CURVE.name);
-        span.field("half_life_ms", spec.half_life_ms as u64);
-        let mut rng = StdRng::seed_from_u64(self.config.seed ^ 0xDECA);
-        let mut biased = Histogram::new(binner.clone());
-        for i in 0..sub.len() {
-            biased.record_weighted(
-                sub.latency_at(i),
-                decay_weight(sub.time_at(i), spec.frontier_ms, spec.half_life_ms),
-            );
-        }
-        let (unbiased, draw_report) = unbiased_histogram_decayed_par(
-            sub,
-            &binner,
-            spec.half_life_ms,
-            spec.frontier_ms,
-            self.config.unbiased_draws,
-            self.config.threads,
-            &mut rng,
-        )?;
-        self.record_exec(&span, &draw_report);
-        let effective_mass = biased.total();
-        let preference = NormalizedPreference::fit(&biased, &unbiased, &self.config).ok();
-        span.field("effective_mass", effective_mass);
-        span.field("fit", u64::from(preference.is_some()));
-        timings.push(StageTiming {
-            stage: op::WINDOWED_CURVE.name.into(),
-            wall_ms: span.finish(),
-        });
-        Ok(WindowedCurve {
-            spec,
-            biased,
-            unbiased,
-            effective_mass,
-            preference,
-        })
+        self.run(PlanInput::slice(log, slice), RunOptions::default())
+            .map(|out| out.report)
     }
 
     /// §3.2 (Figure 4): one analysis per action type, on a base slice.
@@ -787,14 +192,8 @@ impl AutoSens {
         base: &Slice,
         min_actions_per_user: usize,
     ) -> Result<(LatencyQuartiles, QuartileAnalyses), AutoSensError> {
-        let selected = base.clone().successes().select(log);
-        let owned;
-        let sub = if selected.is_sorted() {
-            selected
-        } else {
-            owned = selected.materialize();
-            owned.view()
-        };
+        let mut owned = None;
+        let sub = sorted_successes(log, base, &mut owned);
         let quartiles = latency_quartiles(&sub, min_actions_per_user).ok_or_else(|| {
             AutoSensError::EmptySlice("too few eligible users for quartiles".into())
         })?;
@@ -830,74 +229,6 @@ impl AutoSens {
         self.parallel_analyses(log, slices)
     }
 
-    /// Analyze a slice with a bootstrap confidence band.
-    #[deprecated(note = "use plan::AnalysisPlan::run with RunOptions::with_ci — \
-                         the single analysis entry point")]
-    pub fn analyze_slice_with_ci(
-        &self,
-        log: &TelemetryLog,
-        slice: &Slice,
-        replicates: usize,
-        level: f64,
-    ) -> Result<(AnalysisReport, crate::ci::PreferenceCi), AutoSensError> {
-        let mut report = self.analyze_view_impl(&log.view(), slice)?;
-        let ci = self.ci_impl(&mut report, replicates, level)?;
-        Ok((report, ci))
-    }
-
-    /// Analyze a borrowed view with a bootstrap confidence band.
-    #[deprecated(note = "use plan::AnalysisPlan::run with RunOptions::with_ci — \
-                         the single analysis entry point")]
-    pub fn analyze_view_with_ci(
-        &self,
-        view: &LogView<'_>,
-        slice: &Slice,
-        replicates: usize,
-        level: f64,
-    ) -> Result<(AnalysisReport, crate::ci::PreferenceCi), AutoSensError> {
-        let mut report = self.analyze_view_impl(view, slice)?;
-        let ci = self.ci_impl(&mut report, replicates, level)?;
-        Ok((report, ci))
-    }
-
-    /// The optional `ci_bootstrap` operator: fit a bootstrap confidence
-    /// band (see [`crate::ci`]) over a completed report's pooled
-    /// histograms and append its stage timing. Runs on its own RNG
-    /// stream (`seed ^ 0xC1`), so mapped and owned inputs produce
-    /// bit-identical bands.
-    pub(crate) fn ci_impl(
-        &self,
-        report: &mut AnalysisReport,
-        replicates: usize,
-        level: f64,
-    ) -> Result<crate::ci::PreferenceCi, AutoSensError> {
-        let mut rng = StdRng::seed_from_u64(self.config.seed ^ 0xC1);
-        let mut span = self.recorder.root(op::CI_BOOTSTRAP.name);
-        span.field("replicates_requested", replicates);
-        let (ci, exec_report) = crate::ci::preference_ci_traced(
-            &report.biased,
-            &report.unbiased,
-            &self.config,
-            replicates,
-            level,
-            &mut rng,
-        )?;
-        self.record_exec(&span, &exec_report);
-        span.field("replicates_ok", ci.replicates);
-        self.recorder
-            .metrics()
-            .counter("autosens_core_bootstrap_replicates_total")
-            .add(ci.replicates as u64);
-        let wall_ms = span.finish();
-        if let Some(timings) = report.stage_timings.as_mut() {
-            timings.push(StageTiming {
-                stage: op::CI_BOOTSTRAP.name.into(),
-                wall_ms,
-            });
-        }
-        Ok(ci)
-    }
-
     /// Build the complete serializable analysis bundle for a slice: the
     /// preference curve, per-period activity factors, the natural-
     /// experiment precondition diagnostics, and the bottleneck comparison.
@@ -909,17 +240,11 @@ impl AutoSens {
     ) -> Result<crate::report::FullReport, AutoSensError> {
         use crate::report::{AlphaRow, FullReport, PreferenceSummary};
         let label = label.into();
-        let analysis = self.analyze_view_impl(&log.view(), slice)?;
+        let analysis = self.analyze_slice(log, slice)?;
         let alpha_est = self.alpha_by_period(log, slice)?;
-        let selected = slice.clone().successes().select(log);
-        let owned;
-        let sub = if selected.is_sorted() {
-            selected
-        } else {
-            owned = selected.materialize();
-            owned.view()
-        };
-        let mut rng = StdRng::seed_from_u64(self.config.seed ^ 0xF0);
+        let mut owned = None;
+        let sub = sorted_successes(log, slice, &mut owned);
+        let mut rng = StdRng::seed_from_u64(self.config().seed ^ 0xF0);
         let locality = crate::locality::locality_report(&sub, &mut rng)?;
         let density = crate::locality::density_latency_correlation(&sub, 60_000)?;
         let decorrelation = crate::locality::decorrelation_report(&sub, 60_000, 24 * 60).ok();
@@ -955,22 +280,24 @@ impl AutoSens {
         log: &TelemetryLog,
         base: &Slice,
     ) -> Result<AlphaEstimate, AutoSensError> {
-        let binner = self.config.binner()?;
-        let selected = base.clone().successes().select(log);
-        let owned;
-        let sub = if selected.is_sorted() {
-            selected
-        } else {
-            owned = selected.materialize();
-            owned.view()
-        };
+        let binner = self.config().binner()?;
+        let mut owned = None;
+        let sub = sorted_successes(log, base, &mut owned);
         if sub.is_empty() {
             return Err(AutoSensError::EmptySlice("alpha_by_period".into()));
         }
-        let mut rng = StdRng::seed_from_u64(self.config.seed ^ 0xA1FA);
+        let mut rng = StdRng::seed_from_u64(self.config().seed ^ 0xA1FA);
         // Force the morning period as primary reference by reordering:
         // estimate normally, then rescale every alpha by the morning value.
-        let mut est = estimate_alpha(&sub, &binner, Grouping::DayPeriods, &self.config, &mut rng)?;
+        let (mut est, _) = estimate_alpha(
+            &sub,
+            &binner,
+            Grouping::DayPeriods,
+            self.config(),
+            &mut rng,
+            None,
+            None,
+        )?;
         let morning = 0usize; // group 0 = Morning8to14 by Grouping order
         if let Some(m_alpha) = est.groups[morning].alpha {
             for g in &mut est.groups {
@@ -1003,11 +330,11 @@ impl AutoSens {
             "parallel_analyses",
             slices.len(),
             1,
-            self.config.threads,
+            self.config().threads,
             |chunk, _| {
                 let (key, slice) = &slices[chunk];
                 let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    self.analyze_view_impl(&log.view(), slice)
+                    self.analyze_slice(log, slice)
                 }))
                 .unwrap_or_else(|payload| {
                     let msg = payload
@@ -1025,7 +352,7 @@ impl AutoSens {
         // Invariant: the per-chunk closure catches its own unwinds, so the
         // job itself cannot fail.
         .expect("slice analyses catch their own panics");
-        self.recorder
+        self.recorder()
             .metrics()
             .counter("autosens_exec_chunks_total")
             .add(report.n_chunks as u64);
@@ -1036,7 +363,8 @@ impl AutoSens {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::{PlanInput, RunOptions};
+    use crate::config::AutoSensConfig;
+    use crate::plan::{PreparedMeta, STAGES};
     use autosens_sim::{generate, Scenario, SimConfig};
 
     fn smoke_log() -> TelemetryLog {
@@ -1052,20 +380,18 @@ mod tests {
         }
     }
 
-    fn run(engine: &AutoSens, log: &TelemetryLog) -> Result<AnalysisReport, AutoSensError> {
+    fn run(engine: &AnalysisPlan, log: &TelemetryLog) -> Result<AnalysisReport, AutoSensError> {
         engine
-            .plan()
             .run(PlanInput::log(log), RunOptions::default())
             .map(|o| o.report)
     }
 
     fn run_prepared(
-        engine: &AutoSens,
+        engine: &AnalysisPlan,
         log: &TelemetryLog,
         meta: PreparedMeta,
     ) -> Result<AnalysisReport, AutoSensError> {
         engine
-            .plan()
             .run(PlanInput::prepared(log, meta), RunOptions::default())
             .map(|o| o.report)
     }
@@ -1073,7 +399,7 @@ mod tests {
     #[test]
     fn analyze_produces_a_normalized_curve() {
         let log = smoke_log();
-        let engine = AutoSens::new(fast_config());
+        let engine = AnalysisPlan::new(fast_config());
         let report = run(&engine, &log).unwrap();
         assert!(report.n_actions > 1000);
         let pref = &report.preference;
@@ -1089,7 +415,7 @@ mod tests {
     #[test]
     fn analyze_is_deterministic() {
         let log = smoke_log();
-        let engine = AutoSens::new(fast_config());
+        let engine = AnalysisPlan::new(fast_config());
         let a = run(&engine, &log).unwrap();
         let b = run(&engine, &log).unwrap();
         assert_eq!(a.preference.series(), b.preference.series());
@@ -1098,7 +424,7 @@ mod tests {
     #[test]
     fn empty_slice_is_an_error() {
         let log = TelemetryLog::new();
-        let engine = AutoSens::new(fast_config());
+        let engine = AnalysisPlan::new(fast_config());
         assert!(matches!(
             run(&engine, &log),
             Err(AutoSensError::EmptySlice(_))
@@ -1110,7 +436,7 @@ mod tests {
         let log = smoke_log();
         let mut cfg = fast_config();
         cfg.alpha_correction = false;
-        let engine = AutoSens::new(cfg);
+        let engine = AnalysisPlan::new(cfg);
         let report = run(&engine, &log).unwrap();
         assert!(report.alpha.is_none());
         assert!(report.preference.at(300.0).is_some());
@@ -1119,7 +445,7 @@ mod tests {
     #[test]
     fn by_action_type_returns_all_four() {
         let log = smoke_log();
-        let engine = AutoSens::new(fast_config());
+        let engine = AnalysisPlan::new(fast_config());
         let results = engine.by_action_type(&log, &Slice::all());
         assert_eq!(results.len(), 4);
         let ok = results.iter().filter(|(_, r)| r.is_ok()).count();
@@ -1129,7 +455,7 @@ mod tests {
     #[test]
     fn by_user_class_returns_both() {
         let log = smoke_log();
-        let engine = AutoSens::new(fast_config());
+        let engine = AnalysisPlan::new(fast_config());
         let results = engine.by_user_class(&log, &Slice::all());
         assert_eq!(results.len(), 2);
         for (_, r) in &results {
@@ -1140,7 +466,7 @@ mod tests {
     #[test]
     fn by_quartile_partitions_users() {
         let log = smoke_log();
-        let engine = AutoSens::new(fast_config());
+        let engine = AnalysisPlan::new(fast_config());
         let (quartiles, results) = engine.by_latency_quartile(&log, &Slice::all(), 10).unwrap();
         assert_eq!(results.len(), 4);
         let total: usize = quartiles.groups.iter().map(|g| g.len()).sum();
@@ -1157,7 +483,7 @@ mod tests {
                 threads,
                 ..fast_config()
             };
-            let engine = AutoSens::new(cfg);
+            let engine = AnalysisPlan::new(cfg);
             let actions: Vec<ActionType> = engine
                 .by_action_type(&log, &Slice::all())
                 .into_iter()
@@ -1176,7 +502,7 @@ mod tests {
     #[test]
     fn clean_input_reports_no_degradations() {
         let log = smoke_log();
-        let engine = AutoSens::new(fast_config());
+        let engine = AnalysisPlan::new(fast_config());
         let report = run(&engine, &log).unwrap();
         assert!(
             report.degradations.is_empty(),
@@ -1205,7 +531,7 @@ mod tests {
         };
         let corrupted = plan.apply(&log).unwrap();
         assert!(!corrupted.is_sorted());
-        let engine = AutoSens::new(fast_config());
+        let engine = AnalysisPlan::new(fast_config());
         let report = run(&engine, &corrupted).unwrap();
         // The analysis completes with a curve and structured warnings.
         assert!((report.preference.at(300.0).unwrap() - 1.0).abs() < 1e-9);
@@ -1232,7 +558,7 @@ mod tests {
     fn analyze_produces_one_span_per_documented_stage() {
         let log = smoke_log();
         let recorder = autosens_obs::Recorder::new();
-        let engine = AutoSens::with_recorder(fast_config(), recorder.clone());
+        let engine = AnalysisPlan::with_recorder(fast_config(), recorder.clone());
         let report = run(&engine, &log).unwrap();
         let tree = recorder.finish();
         assert_eq!(tree.count_named("analyze"), 1, "{}", tree.render());
@@ -1266,7 +592,7 @@ mod tests {
     fn sanitize_records_its_exec_jobs() {
         let log = smoke_log();
         let recorder = autosens_obs::Recorder::new();
-        let engine = AutoSens::with_recorder(fast_config(), recorder.clone());
+        let engine = AnalysisPlan::with_recorder(fast_config(), recorder.clone());
         run(&engine, &log).unwrap();
         let tree = recorder.finish();
         let sanitize = tree
@@ -1292,15 +618,17 @@ mod tests {
     fn ci_analysis_adds_the_bootstrap_stage() {
         let log = smoke_log();
         let recorder = autosens_obs::Recorder::new();
-        let engine = AutoSens::with_recorder(fast_config(), recorder.clone());
+        let engine = AnalysisPlan::with_recorder(fast_config(), recorder.clone());
         let out = engine
-            .plan()
             .run(PlanInput::log(&log), RunOptions::with_ci(25, 0.95))
             .unwrap();
         let (report, ci) = (out.report, out.ci.unwrap());
         let timings = report.stage_timings.unwrap();
-        assert_eq!(timings.last().unwrap().stage, CI_STAGE);
-        assert_eq!(recorder.finish().count_named(CI_STAGE), 1);
+        assert_eq!(timings.last().unwrap().stage, crate::plan::op::CI_BOOTSTRAP);
+        assert_eq!(
+            recorder.finish().count_named(crate::plan::op::CI_BOOTSTRAP),
+            1
+        );
         assert_eq!(
             recorder
                 .metrics()
@@ -1326,7 +654,7 @@ mod tests {
         };
         let corrupted = plan.apply(&log).unwrap();
         let recorder = autosens_obs::Recorder::new();
-        let engine = AutoSens::with_recorder(fast_config(), recorder.clone());
+        let engine = AnalysisPlan::with_recorder(fast_config(), recorder.clone());
         let report = run(&engine, &corrupted).unwrap();
         assert!(!report.degradations.is_empty());
         let snap = recorder.metrics().snapshot();
@@ -1360,7 +688,7 @@ mod tests {
     #[test]
     fn loss_correction_is_a_noop_on_clean_input() {
         let log = smoke_log();
-        let on = run(&AutoSens::new(fast_config()), &log).unwrap();
+        let on = run(&AnalysisPlan::new(fast_config()), &log).unwrap();
         assert!(
             on.loss.is_none(),
             "clean input flagged cells: {:?}",
@@ -1368,7 +696,7 @@ mod tests {
         );
         let mut cfg = fast_config();
         cfg.loss_correct = false;
-        let off = run(&AutoSens::new(cfg), &log).unwrap();
+        let off = run(&AnalysisPlan::new(cfg), &log).unwrap();
         // Bit-identical curves and histograms: the inactive correction
         // changes nothing downstream.
         assert_eq!(on.preference.series(), off.preference.series());
@@ -1388,7 +716,7 @@ mod tests {
             }],
         };
         let corrupted = plan.apply(&log).unwrap();
-        let report = run(&AutoSens::new(fast_config()), &corrupted).unwrap();
+        let report = run(&AnalysisPlan::new(fast_config()), &corrupted).unwrap();
         let loss = report.loss.as_ref().expect("bursty loss goes undetected");
         assert!(loss.overall_rate > 0.0);
         assert!(!loss.cells.is_empty());
@@ -1401,7 +729,7 @@ mod tests {
         // An explicit off-run reproduces the naive curve bit for bit.
         let mut cfg = fast_config();
         cfg.loss_correct = false;
-        let off = run(&AutoSens::new(cfg), &corrupted).unwrap();
+        let off = run(&AnalysisPlan::new(cfg), &corrupted).unwrap();
         assert!(off.loss.is_none());
         assert_eq!(off.biased.counts(), loss.naive_biased.counts());
         assert_eq!(
@@ -1422,44 +750,36 @@ mod tests {
             }],
         };
         let corrupted = plan.apply(&log).unwrap();
-        let baseline = run(
-            &AutoSens::new(AutoSensConfig {
-                threads: 1,
+        // Both corrected paths: the α-on solve over the weighted partition
+        // and the α-off weighted pooled histogram.
+        for alpha_correction in [true, false] {
+            let config = |threads| AutoSensConfig {
+                threads,
+                alpha_correction,
                 ..fast_config()
-            }),
-            &corrupted,
-        )
-        .unwrap();
-        assert!(baseline.loss.is_some());
-        for threads in [2, 4, 8] {
-            let report = run(
-                &AutoSens::new(AutoSensConfig {
-                    threads,
-                    ..fast_config()
-                }),
-                &corrupted,
-            )
-            .unwrap();
-            assert_eq!(
-                baseline.preference.series(),
-                report.preference.series(),
-                "threads={threads}"
-            );
-            assert_eq!(
-                baseline.biased.counts(),
-                report.biased.counts(),
-                "threads={threads}"
-            );
-            let (a, b) = (
-                baseline.loss.as_ref().unwrap(),
-                report.loss.as_ref().unwrap(),
-            );
-            assert_eq!(a.naive_biased.counts(), b.naive_biased.counts());
-            assert_eq!(
-                a.naive_preference.as_ref().unwrap().series(),
-                b.naive_preference.as_ref().unwrap().series(),
-                "threads={threads}"
-            );
+            };
+            let baseline = run(&AnalysisPlan::new(config(1)), &corrupted).unwrap();
+            assert!(baseline.loss.is_some(), "alpha={alpha_correction}");
+            for threads in [2, 4, 8] {
+                let report = run(&AnalysisPlan::new(config(threads)), &corrupted).unwrap();
+                let at = format!("alpha={alpha_correction} threads={threads}");
+                assert_eq!(
+                    baseline.preference.series(),
+                    report.preference.series(),
+                    "{at}"
+                );
+                assert_eq!(baseline.biased.counts(), report.biased.counts(), "{at}");
+                let (a, b) = (
+                    baseline.loss.as_ref().unwrap(),
+                    report.loss.as_ref().unwrap(),
+                );
+                assert_eq!(a.naive_biased.counts(), b.naive_biased.counts(), "{at}");
+                assert_eq!(
+                    a.naive_preference.as_ref().unwrap().series(),
+                    b.naive_preference.as_ref().unwrap().series(),
+                    "{at}"
+                );
+            }
         }
     }
 
@@ -1484,7 +804,7 @@ mod tests {
     #[test]
     fn prepared_decay_adds_windowed_curve_and_leaves_lifetime_untouched() {
         let log = smoke_log();
-        let engine = AutoSens::new(fast_config());
+        let engine = AnalysisPlan::new(fast_config());
         let (clean, meta) = prepared_from(&log, None);
         let base = run_prepared(&engine, &clean, meta).unwrap();
         assert!(base.windowed.is_none());
@@ -1526,7 +846,7 @@ mod tests {
     #[test]
     fn windowed_mass_shrinks_with_shorter_half_life() {
         let log = smoke_log();
-        let engine = AutoSens::new(fast_config());
+        let engine = AnalysisPlan::new(fast_config());
         let (clean, _) = prepared_from(&log, None);
         let frontier = clean.view().time_at(clean.view().len() - 1);
         let mass = |hl: i64| {
@@ -1554,7 +874,7 @@ mod tests {
     #[test]
     fn nonpositive_half_life_is_rejected() {
         let log = smoke_log();
-        let engine = AutoSens::new(fast_config());
+        let engine = AnalysisPlan::new(fast_config());
         let (clean, meta) = prepared_from(
             &log,
             Some(DecaySpec {
@@ -1569,54 +889,9 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_match_the_plan_entry_point() {
-        let log = smoke_log();
-        let engine = AutoSens::new(fast_config());
-        let base = run(&engine, &log).unwrap();
-        let view = log.view();
-        let all = Slice::all();
-        let a = engine.analyze(&log).unwrap();
-        let b = engine.analyze_slice(&log, &all).unwrap();
-        let c = engine.analyze_view(&view, &all).unwrap();
-        for (label, r) in [("analyze", &a), ("analyze_slice", &b), ("analyze_view", &c)] {
-            assert_eq!(base.preference.series(), r.preference.series(), "{label}");
-            assert_eq!(base.biased.counts(), r.biased.counts(), "{label}");
-            assert_eq!(base.n_actions, r.n_actions, "{label}");
-        }
-
-        let (clean, meta) = prepared_from(&log, None);
-        let p = engine
-            .analyze_prepared(Prepared {
-                log: clean,
-                degradations: meta.degradations,
-                records_in: meta.records_in,
-                records_dropped: meta.records_dropped,
-                partition: None,
-                loss_counts: None,
-                decay: meta.decay,
-            })
-            .unwrap();
-        assert_eq!(base.preference.series(), p.preference.series());
-
-        let ci_base = engine
-            .plan()
-            .run(PlanInput::log(&log), RunOptions::with_ci(25, 0.9))
-            .unwrap();
-        let (d, ci_d) = engine.analyze_slice_with_ci(&log, &all, 25, 0.9).unwrap();
-        let (e, ci_e) = engine.analyze_view_with_ci(&view, &all, 25, 0.9).unwrap();
-        let ci = ci_base.ci.unwrap();
-        assert_eq!(base.preference.series(), d.preference.series());
-        assert_eq!(base.preference.series(), e.preference.series());
-        assert_eq!(ci.replicates, ci_d.replicates);
-        assert_eq!(ci.band_at(500.0), ci_d.band_at(500.0));
-        assert_eq!(ci.band_at(500.0), ci_e.band_at(500.0));
-    }
-
-    #[test]
     fn alpha_by_period_has_morning_reference_one() {
         let log = smoke_log();
-        let engine = AutoSens::new(fast_config());
+        let engine = AnalysisPlan::new(fast_config());
         let est = engine.alpha_by_period(&log, &Slice::all()).unwrap();
         assert_eq!(est.groups.len(), 4);
         let morning = est.groups[0].alpha.unwrap();

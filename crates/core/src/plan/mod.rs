@@ -1,21 +1,23 @@
-//! The analysis plan layer: the estimator's stage chain as an explicit
-//! operator DAG with one entry point.
+//! The analysis plan layer: the estimator's stage chain behind one type
+//! with one entry point.
 //!
 //! The paper's pipeline is a fixed sequence — sanitize → lossmodel →
 //! α → biased/unbiased PDFs → smoothing → normalization, with optional
-//! CI-bootstrap and windowed-curve operators. This module declares that
-//! sequence as data (the [operator table](op::OPERATORS)) and runs it
-//! through a single entry point, [`AnalysisPlan::run`], which replaces
-//! the six historical `analyze*` variants on [`AutoSens`] (kept as
-//! `#[deprecated]` shims for one release). What varies between calls is
-//! no longer *which method* but *which input shape* ([`PlanInput`]) and
-//! *which optional operators* ([`RunOptions`]).
+//! CI-bootstrap and windowed-curve stages ([`op::STAGES`] names them in
+//! order). [`AnalysisPlan`] is the analysis engine and
+//! [`AnalysisPlan::run`] its single entry point: what varies between
+//! calls is *which input shape* ([`PlanInput`]) and *which optional
+//! stages* ([`RunOptions`]). Every shape is sanitized into one sorted,
+//! deduplicated view plus its bookkeeping, and one downstream function
+//! runs the rest of the chain over it. The per-slice drivers behind the
+//! paper's evaluation sections (`by_action_type`, `full_report`, …) live
+//! in [`crate::pipeline`] and run through the same path.
 //!
-//! Incremental callers cache the pre-RNG per-shard states declared in
-//! the table ([`PlanPartials`]) and enter via [`PlanInput::prepared`];
-//! the output is bit-identical to a batch run over the same records at
-//! every thread count — see the [`op`] module docs for why the RNG
-//! frontier is exactly the cacheability frontier.
+//! Incremental callers cache the pre-RNG per-shard states
+//! ([`PlanPartials`]) and enter via [`PlanInput::prepared`]; the output
+//! is bit-identical to a batch run over the same records at every thread
+//! count — see the [`op`] module docs for why the RNG frontier is exactly
+//! the cacheability frontier.
 //!
 //! ```
 //! use autosens_core::plan::{AnalysisPlan, PlanInput, RunOptions};
@@ -32,17 +34,28 @@
 pub mod op;
 mod partials;
 
-pub use op::{OperatorSpec, CI_BOOTSTRAP, OPERATORS, STAGE_NAMES, WINDOWED_CURVE};
+pub use op::STAGES;
 pub use partials::PlanPartials;
 
-use autosens_obs::Recorder;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+use autosens_exec::ExecReport;
+use autosens_obs::{Recorder, Span, StageTiming};
+use autosens_stats::histogram::Histogram;
 use autosens_telemetry::log::{LogView, TelemetryLog};
+use autosens_telemetry::loss::{estimate_cell_loss_par, LossCounts};
 use autosens_telemetry::query::Slice;
 
+use crate::alpha::{estimate_alpha, partition_by_group, Grouping};
+use crate::biased::biased_histogram;
 use crate::ci::PreferenceCi;
 use crate::config::AutoSensConfig;
 use crate::error::AutoSensError;
-use crate::pipeline::{AnalysisReport, AutoSens, DecaySpec, Degradation};
+use crate::lossmodel::LossModel;
+use crate::pipeline::{AnalysisReport, DecaySpec, Degradation, LossReport, WindowedCurve};
+use crate::preference::NormalizedPreference;
+use crate::unbiased::{decay_weight, unbiased_histogram_decayed_par, unbiased_histogram_par};
 
 /// What the plan runs over. All shapes converge on the same stage chain
 /// and the same RNG streams, so for the same underlying records every
@@ -67,7 +80,7 @@ pub enum PlanInput<'a> {
         /// The slice filter to apply during sanitize.
         slice: &'a Slice,
     },
-    /// An externally sanitized log plus cached pre-RNG operator state —
+    /// An externally sanitized log plus cached pre-RNG stage state —
     /// the incremental shape the streaming engine uses. `log` must equal
     /// what batch sanitize would produce for the same input: filtered to
     /// the slice's successes, stably time-sorted, exact duplicates
@@ -102,7 +115,7 @@ impl<'a> PlanInput<'a> {
     }
 }
 
-/// Sanitize bookkeeping and cached operator state accompanying a
+/// Sanitize bookkeeping and cached stage state accompanying a
 /// [`PlanInput::Prepared`] input. [`Default`] is a clean, cacheless
 /// prepared run: no degradations, no partials, no windowed curve.
 #[derive(Debug, Clone, Default)]
@@ -115,7 +128,7 @@ pub struct PreparedMeta {
     pub records_in: usize,
     /// Records dropped by deduplication.
     pub records_dropped: usize,
-    /// Cached pre-RNG operator partials matching the log exactly; when
+    /// Cached pre-RNG partials matching the log exactly; when
     /// present the lossmodel and α folds skip their rescans.
     pub partials: Option<PlanPartials>,
     /// Optional windowed-decay request: when present the report also
@@ -133,11 +146,11 @@ pub struct CiSpec {
     pub level: f64,
 }
 
-/// Which optional operators a [`AnalysisPlan::run`] executes on top of
+/// Which optional stages a [`AnalysisPlan::run`] executes on top of
 /// the always-run chain.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RunOptions {
-    /// Run the [`op::CI_BOOTSTRAP`] operator and return a confidence
+    /// Run the [`op::CI_BOOTSTRAP`] stage and return a confidence
     /// band in [`RunOutput::ci`].
     pub ci: Option<CiSpec>,
 }
@@ -162,89 +175,526 @@ pub struct RunOutput {
     pub ci: Option<PreferenceCi>,
 }
 
-/// The single analysis entry point: an executable instance of the
-/// [operator table](op::OPERATORS) over an [`AutoSens`] engine.
+/// The analysis engine: a configuration plus the recorder its spans and
+/// metrics land in.
 ///
-/// Construct one per configuration (or borrow one from an existing
-/// engine via [`AutoSens::plan`] — the recorder is shared, so spans and
-/// metrics land in the same place) and call [`AnalysisPlan::run`] with
-/// the input shape at hand.
+/// Construct one per configuration and call [`AnalysisPlan::run`] with
+/// the input shape at hand; the per-slice drivers (`by_action_type`,
+/// `full_report`, …) run many slices through the same path.
 #[derive(Debug, Clone)]
 pub struct AnalysisPlan {
-    engine: AutoSens,
+    config: AutoSensConfig,
+    recorder: Recorder,
+}
+
+/// What sanitize hands the downstream chain: the sorted, deduplicated
+/// view of the slice's successes plus the bookkeeping every input shape
+/// reports the same way.
+struct Sanitized<'a> {
+    /// The sanitized rows.
+    view: LogView<'a>,
+    /// Problems repaired so far, in the order batch sanitize reports them.
+    degradations: Vec<Degradation>,
+    /// Records that entered sanitize after filtering (pre-dedup count).
+    records_in: usize,
+    /// Records dropped by deduplication.
+    records_dropped: usize,
+    /// Rows copied to repair out-of-order input (0 on the zero-copy path).
+    rows_copied: usize,
+    /// Cached pre-RNG partials matching `view` exactly, if any.
+    partials: Option<PlanPartials>,
+    /// The windowed-decay request, if any.
+    decay: Option<DecaySpec>,
 }
 
 impl AnalysisPlan {
     /// A plan with a configuration (validated at run time) and no span
     /// buffering — reports still carry stage timings.
     pub fn new(config: AutoSensConfig) -> AnalysisPlan {
-        AnalysisPlan {
-            engine: AutoSens::new(config),
-        }
+        AnalysisPlan::with_recorder(config, Recorder::disabled())
     }
 
     /// A plan that records spans and metrics into `recorder`.
     pub fn with_recorder(config: AutoSensConfig, recorder: Recorder) -> AnalysisPlan {
-        AnalysisPlan {
-            engine: AutoSens::with_recorder(config, recorder),
-        }
-    }
-
-    /// Wrap an existing engine (shares its recorder).
-    pub fn from_engine(engine: AutoSens) -> AnalysisPlan {
-        AnalysisPlan { engine }
-    }
-
-    /// The underlying engine (for the per-slice drivers that remain on
-    /// [`AutoSens`]: `by_action_type`, `full_report`, …).
-    pub fn engine(&self) -> &AutoSens {
-        &self.engine
+        AnalysisPlan { config, recorder }
     }
 
     /// The plan's configuration.
     pub fn config(&self) -> &AutoSensConfig {
-        self.engine.config()
+        &self.config
     }
 
-    /// The plan's recorder.
+    /// The plan's recorder (drain it with [`Recorder::finish`] after a run
+    /// to obtain the span tree; its metrics registry holds the pipeline
+    /// counters).
     pub fn recorder(&self) -> &Recorder {
-        self.engine.recorder()
+        &self.recorder
     }
 
-    /// The always-run operator table, in execution order.
-    pub fn operators() -> &'static [OperatorSpec] {
-        op::OPERATORS
+    /// Feed one data-parallel job's scheduling report into the obs layer:
+    /// a chunk counter plus one child span per worker (timing carried in
+    /// the `wall_ms` field — the work already happened).
+    fn record_exec(&self, parent: &Span, exec: &ExecReport) {
+        self.recorder
+            .metrics()
+            .counter("autosens_exec_chunks_total")
+            .add(exec.n_chunks as u64);
+        for w in &exec.workers {
+            let mut span = parent.child("exec_worker");
+            span.field("job", exec.label.clone());
+            span.field("worker", w.worker);
+            span.field("chunks", w.chunks);
+            span.field("steals", w.steals);
+            span.field("wall_ms", w.wall_ms);
+            span.finish();
+        }
     }
 
-    /// Run the plan over an input. One span per always-run operator,
-    /// plus one per requested optional operator; stage timings in the
-    /// report follow the same order.
+    /// Run the plan over an input. One span per always-run stage under an
+    /// `"analyze"` root, plus one per requested optional stage; stage
+    /// timings in the report follow the same order.
     pub fn run(&self, input: PlanInput<'_>, opts: RunOptions) -> Result<RunOutput, AutoSensError> {
-        let mut report = match input {
-            PlanInput::Log(log) => self.engine.analyze_view_impl(&log.view(), &Slice::all())?,
-            PlanInput::Slice { log, slice } => self.engine.analyze_view_impl(&log.view(), slice)?,
-            PlanInput::View { view, slice } => self.engine.analyze_view_impl(view, slice)?,
-            PlanInput::Prepared { log, meta } => self.engine.analyze_prepared_impl(log, meta)?,
+        // Validate the configuration before doing any work.
+        self.config.binner()?;
+        // Scoped so a repaired copy of out-of-order input is freed before
+        // the CI stage runs.
+        let mut report = {
+            let root = self.recorder.root("analyze");
+            let mut timings = Vec::new();
+            let mut repaired = None;
+            let sanitized = self.sanitize(input, &root, &mut timings, &mut repaired)?;
+            self.analyze_sanitized(sanitized, root, timings)?
         };
         let ci = match opts.ci {
-            Some(spec) => Some(
-                self.engine
-                    .ci_impl(&mut report, spec.replicates, spec.level)?,
-            ),
+            Some(spec) => Some(self.ci(&mut report, spec.replicates, spec.level)?),
             None => None,
         };
         Ok(RunOutput { report, ci })
     }
-}
 
-impl AutoSens {
-    /// Borrow this engine as a plan (clones the engine; the recorder is
-    /// `Arc`-shared, so spans and metrics keep landing in this engine's
-    /// recorder).
-    pub fn plan(&self) -> AnalysisPlan {
-        AnalysisPlan {
-            engine: self.clone(),
+    /// The sanitize stage: filter to the slice's successes, stable-sort,
+    /// drop exact duplicates. Real telemetry arrives out of order (shard
+    /// merges, clock skew) and duplicated (re-delivered upload batches);
+    /// repair what is repairable and record the repair instead of failing.
+    ///
+    /// A selection over a sorted log is already in time order, so the
+    /// stage runs over the borrowed view without copying a row. Degraded
+    /// (out-of-order) input falls back to one materialized copy, held in
+    /// `repaired`. A prepared input arrives sanitized: its span carries the
+    /// caller's counts and its wall time reflects only bookkeeping.
+    fn sanitize<'a>(
+        &self,
+        input: PlanInput<'a>,
+        root: &Span,
+        timings: &mut Vec<StageTiming>,
+        repaired: &'a mut Option<TelemetryLog>,
+    ) -> Result<Sanitized<'a>, AutoSensError> {
+        let (view, slice) = match input {
+            PlanInput::Log(log) => (log.view(), Slice::all()),
+            PlanInput::Slice { log, slice } => (log.view(), slice.clone()),
+            PlanInput::View { view, slice } => (view.borrowed(), slice.clone()),
+            PlanInput::Prepared { log, meta } => {
+                log.require_sorted()?;
+                let mut span = root.child(op::SANITIZE);
+                span.field("records_in", meta.records_in);
+                span.field("records_dropped", meta.records_dropped);
+                timings.push(StageTiming {
+                    stage: op::SANITIZE.into(),
+                    wall_ms: span.finish(),
+                });
+                return Ok(Sanitized {
+                    view: log.view(),
+                    degradations: meta.degradations,
+                    records_in: meta.records_in,
+                    records_dropped: meta.records_dropped,
+                    rows_copied: 0,
+                    partials: meta.partials,
+                    decay: meta.decay,
+                });
+            }
+        };
+        let mut degradations = Vec::new();
+        let mut span = root.child(op::SANITIZE);
+        // Slicing re-sorts as a side effect, so the order check looks at
+        // the input.
+        if !view.is_sorted() {
+            degradations.push(Degradation {
+                stage: op::SANITIZE.into(),
+                detail: "records arrived out of time order; re-sorted".into(),
+            });
         }
+        let (selected, filter_report) = slice
+            .successes()
+            .select_par_view(&view, self.config.threads)?;
+        self.record_exec(&span, &filter_report);
+        let records_in = selected.len();
+        let (view, removed, copied) = if selected.is_sorted() {
+            let (clean, removed, dedup_report) = selected.dedup_exact_par(self.config.threads);
+            if let Some(report) = &dedup_report {
+                self.record_exec(&span, report);
+            }
+            (clean, removed, 0)
+        } else {
+            let mut m = selected.materialize();
+            m.ensure_sorted();
+            let removed = m.dedup_exact_par(self.config.threads);
+            (repaired.insert(m).view(), removed, records_in)
+        };
+        if removed > 0 {
+            degradations.push(Degradation {
+                stage: op::SANITIZE.into(),
+                detail: format!("removed {removed} exact duplicate records"),
+            });
+        }
+        span.field("records_in", records_in);
+        span.field("records_dropped", removed);
+        timings.push(StageTiming {
+            stage: op::SANITIZE.into(),
+            wall_ms: span.finish(),
+        });
+        Ok(Sanitized {
+            view,
+            degradations,
+            records_in,
+            records_dropped: removed,
+            rows_copied: copied,
+            partials: None,
+            decay: None,
+        })
+    }
+
+    /// Everything downstream of sanitize: the loss model, α estimation,
+    /// the biased/unbiased PDFs, smoothing and normalization, the optional
+    /// windowed curve, metrics, and report assembly. Every input shape
+    /// runs through this one function — this is what makes streaming
+    /// snapshots bit-identical to batch analyses.
+    fn analyze_sanitized(
+        &self,
+        s: Sanitized<'_>,
+        mut root: Span,
+        mut timings: Vec<StageTiming>,
+    ) -> Result<AnalysisReport, AutoSensError> {
+        let Sanitized {
+            view,
+            mut degradations,
+            records_in,
+            records_dropped,
+            rows_copied,
+            partials,
+            decay,
+        } = s;
+        let sub = &view;
+        let binner = self.config.binner()?;
+        if sub.is_empty() {
+            return Err(AutoSensError::EmptySlice(
+                "slice selected no successful actions".into(),
+            ));
+        }
+        let (partition, loss_counts) = match partials {
+            Some(p) => (Some(p.partition), Some(p.loss)),
+            None => (None, None),
+        };
+        let mut rng = StdRng::seed_from_u64(self.config.seed);
+
+        // Loss model: estimate per-cell telemetry loss from in-band
+        // evidence (duplicate/sequence-gap + volume-shortfall signals on
+        // the sanitized view). The stage always runs — the loss-rate
+        // gauges report even when the correction is disabled — but it
+        // consumes no randomness, so an inactive correction leaves every
+        // downstream bit unchanged.
+        let mut span = root.child(op::LOSSMODEL);
+        let counts =
+            loss_counts.unwrap_or_else(|| LossCounts::from_view_par(sub, self.config.threads));
+        let evidence = estimate_cell_loss_par(sub, &counts, self.config.threads);
+        let model = LossModel::from_evidence(&evidence);
+        let correct = self.config.loss_correct && !model.is_noop();
+        span.field("cells_flagged", model.cells.len());
+        span.field("active", usize::from(correct));
+        {
+            let metrics = self.recorder.metrics();
+            metrics.gauge("autosens_loss_rate").set(model.overall_rate);
+            for c in &model.cells {
+                metrics
+                    .gauge(&format!("autosens_loss_rate_{}", c.label))
+                    .set(c.rate);
+            }
+        }
+        timings.push(StageTiming {
+            stage: op::LOSSMODEL.into(),
+            wall_ms: span.finish(),
+        });
+
+        let grouping = if self.config.weekday_weekend_slots {
+            Grouping::HourSlotsByDayKind
+        } else {
+            Grouping::HourSlots
+        };
+        let (biased, unbiased, alpha, naive) = if self.config.alpha_correction {
+            let mut span = root.child(op::ALPHA);
+            span.field("groups", grouping.n_groups());
+            // With an active correction the α system is solved twice from
+            // one set of inputs (one RNG-bearing draw stage): once naive,
+            // once with the loss weights applied to the biased masses.
+            let (est, naive_est) = estimate_alpha(
+                sub,
+                &binner,
+                grouping,
+                &self.config,
+                &mut rng,
+                partition,
+                correct.then_some(&model),
+            )?;
+            for r in &est.exec_reports {
+                self.record_exec(&span, r);
+            }
+            // Groups with data but no usable α are dropped from the pooled
+            // histograms; surface each exclusion as a degradation so the
+            // operator knows which time windows the curve no longer covers.
+            for g in &est.groups {
+                if g.n_actions > 0 && g.alpha.is_none() {
+                    degradations.push(Degradation {
+                        stage: op::ALPHA.into(),
+                        detail: format!(
+                            "group {} ({} actions) excluded: no usable alpha",
+                            g.label, g.n_actions
+                        ),
+                    });
+                }
+            }
+            timings.push(StageTiming {
+                stage: op::ALPHA.into(),
+                wall_ms: span.finish(),
+            });
+            let span = root.child(op::BIASED_PDF);
+            let b = est.normalized_biased(&binner)?;
+            let naive_b = naive_est
+                .as_ref()
+                .map(|n| n.normalized_biased(&binner))
+                .transpose()?;
+            timings.push(StageTiming {
+                stage: op::BIASED_PDF.into(),
+                wall_ms: span.finish(),
+            });
+            let span = root.child(op::UNBIASED_PDF);
+            let u = est.pooled_unbiased(&binner)?;
+            let naive_u = naive_est
+                .as_ref()
+                .map(|n| n.pooled_unbiased(&binner))
+                .transpose()?;
+            timings.push(StageTiming {
+                stage: op::UNBIASED_PDF.into(),
+                wall_ms: span.finish(),
+            });
+            (b, u, Some(est), naive_b.zip(naive_u))
+        } else {
+            let span = root.child(op::BIASED_PDF);
+            let naive_b = biased_histogram(sub, &binner);
+            let b = if correct {
+                // Reweight without α: the pooled biased histogram is the
+                // per-record weighted sum (cell × day factor). The weights
+                // depend on each record's calendar day, so a precomputed
+                // unit-weight partition cannot be reused here — the
+                // weighted rescan is the only loss-correct path over the
+                // view.
+                let (wpart, report) =
+                    partition_by_group(sub, &binner, Some(&model), self.config.threads)?;
+                self.record_exec(&span, &report);
+                if wpart.n_records() != sub.len() as u64 {
+                    return Err(AutoSensError::Internal(format!(
+                        "group partition covers {} actions, log has {}",
+                        wpart.n_records(),
+                        sub.len()
+                    )));
+                }
+                wpart.pooled_biased()?
+            } else {
+                naive_b.clone()
+            };
+            timings.push(StageTiming {
+                stage: op::BIASED_PDF.into(),
+                wall_ms: span.finish(),
+            });
+            let mut span = root.child(op::UNBIASED_PDF);
+            span.field("draws", self.config.unbiased_draws);
+            let (u, draw_report) = unbiased_histogram_par(
+                sub,
+                &binner,
+                self.config.unbiased_draws,
+                self.config.threads,
+                &mut rng,
+            )?;
+            self.record_exec(&span, &draw_report);
+            timings.push(StageTiming {
+                stage: op::UNBIASED_PDF.into(),
+                wall_ms: span.finish(),
+            });
+            let naive = correct.then(|| (naive_b, u.clone()));
+            (b, u, None, naive)
+        };
+
+        let preference = NormalizedPreference::fit_traced(
+            &biased,
+            &unbiased,
+            &self.config,
+            &root,
+            &mut timings,
+        )?;
+
+        // The naive side-channel curve re-fits with the same config but no
+        // tracing (the smoothing/normalization stage spans describe the
+        // corrected curve, which is the report's primary output).
+        let loss = naive.map(|(naive_biased, naive_unbiased)| LossReport {
+            overall_rate: model.overall_rate,
+            cells: model.cells.clone(),
+            naive_preference: NormalizedPreference::fit(
+                &naive_biased,
+                &naive_unbiased,
+                &self.config,
+            )
+            .ok(),
+            naive_biased,
+            naive_unbiased,
+        });
+
+        // Windowed decayed curve: an incident-tracking view of the same
+        // records, computed last on its own RNG stream so that — present or
+        // absent — every lifetime stage above keeps its exact byte output.
+        let windowed = decay
+            .map(|spec| self.windowed_curve(sub, spec, &root, &mut timings))
+            .transpose()?;
+
+        let metrics = self.recorder.metrics();
+        metrics.counter("autosens_core_analyses_total").inc();
+        metrics
+            .counter("autosens_core_records_read_total")
+            .add(records_in as u64);
+        metrics
+            .counter("autosens_core_records_dropped_total")
+            .add(records_dropped as u64);
+        metrics
+            .counter("autosens_core_degradations_total")
+            .add(degradations.len() as u64);
+        // Zero-copy accounting: rows analyzed through borrowed views vs
+        // rows physically copied to repair degraded input. Both register
+        // (even at zero) so batch and streaming runs expose the same set.
+        metrics
+            .counter("autosens_core_view_rows_total")
+            .add(sub.len() as u64);
+        metrics
+            .counter("autosens_core_rows_copied_total")
+            .add(rows_copied as u64);
+        for d in &degradations {
+            metrics
+                .counter(&format!("autosens_core_degradations_{}_total", d.stage))
+                .inc();
+        }
+        root.field("n_actions", sub.len());
+        root.field("degradations", degradations.len());
+
+        Ok(AnalysisReport {
+            preference,
+            alpha,
+            n_actions: sub.len() as u64,
+            biased,
+            unbiased,
+            loss,
+            windowed,
+            degradations,
+            stage_timings: Some(timings),
+        })
+    }
+
+    /// Compute the exponentially-decayed windowed curve (see
+    /// [`WindowedCurve`]): a decayed-weight sweep for `B_w`, the decayed
+    /// draw estimator for `U_w`, and a fit with the same smoothing /
+    /// normalization config as the lifetime curve but no α correction —
+    /// the decayed horizon covers too few occurrences of each hour slot
+    /// for stable per-slot activity factors.
+    fn windowed_curve(
+        &self,
+        sub: &LogView<'_>,
+        spec: DecaySpec,
+        root: &Span,
+        timings: &mut Vec<StageTiming>,
+    ) -> Result<WindowedCurve, AutoSensError> {
+        if spec.half_life_ms <= 0 {
+            return Err(AutoSensError::BadConfig(
+                "decay half-life must be > 0 ms".into(),
+            ));
+        }
+        let binner = self.config.binner()?;
+        let mut span = root.child(op::WINDOWED_CURVE);
+        span.field("half_life_ms", spec.half_life_ms as u64);
+        let mut rng = StdRng::seed_from_u64(self.config.seed ^ 0xDECA);
+        let mut biased = Histogram::new(binner.clone());
+        for i in 0..sub.len() {
+            biased.record_weighted(
+                sub.latency_at(i),
+                decay_weight(sub.time_at(i), spec.frontier_ms, spec.half_life_ms),
+            );
+        }
+        let (unbiased, draw_report) = unbiased_histogram_decayed_par(
+            sub,
+            &binner,
+            spec.half_life_ms,
+            spec.frontier_ms,
+            self.config.unbiased_draws,
+            self.config.threads,
+            &mut rng,
+        )?;
+        self.record_exec(&span, &draw_report);
+        let effective_mass = biased.total();
+        let preference = NormalizedPreference::fit(&biased, &unbiased, &self.config).ok();
+        span.field("effective_mass", effective_mass);
+        span.field("fit", u64::from(preference.is_some()));
+        timings.push(StageTiming {
+            stage: op::WINDOWED_CURVE.into(),
+            wall_ms: span.finish(),
+        });
+        Ok(WindowedCurve {
+            spec,
+            biased,
+            unbiased,
+            effective_mass,
+            preference,
+        })
+    }
+
+    /// The optional `ci_bootstrap` stage: fit a bootstrap confidence band
+    /// (see [`crate::ci`]) over a completed report's pooled histograms and
+    /// append its stage timing. Runs on its own RNG stream (`seed ^ 0xC1`),
+    /// so mapped and owned inputs produce bit-identical bands.
+    fn ci(
+        &self,
+        report: &mut AnalysisReport,
+        replicates: usize,
+        level: f64,
+    ) -> Result<PreferenceCi, AutoSensError> {
+        let mut rng = StdRng::seed_from_u64(self.config.seed ^ 0xC1);
+        let mut span = self.recorder.root(op::CI_BOOTSTRAP);
+        span.field("replicates_requested", replicates);
+        let (ci, exec_report) = crate::ci::preference_ci_traced(
+            &report.biased,
+            &report.unbiased,
+            &self.config,
+            replicates,
+            level,
+            &mut rng,
+        )?;
+        self.record_exec(&span, &exec_report);
+        span.field("replicates_ok", ci.replicates);
+        self.recorder
+            .metrics()
+            .counter("autosens_core_bootstrap_replicates_total")
+            .add(ci.replicates as u64);
+        let wall_ms = span.finish();
+        if let Some(timings) = report.stage_timings.as_mut() {
+            timings.push(StageTiming {
+                stage: op::CI_BOOTSTRAP.into(),
+                wall_ms,
+            });
+        }
+        Ok(ci)
     }
 }
 
@@ -301,7 +751,7 @@ mod tests {
         let timings = out.report.stage_timings.unwrap();
         assert_eq!(
             timings.last().unwrap().stage,
-            op::CI_BOOTSTRAP.name,
+            op::CI_BOOTSTRAP,
             "CI stage timing must come last"
         );
     }

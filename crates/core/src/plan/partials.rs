@@ -1,9 +1,10 @@
 //! The bundled pre-RNG partial aggregates — one value per shard that an
 //! incremental caller folds records into and merges at snapshot time.
 //!
-//! [`PlanPartials`] packages every cacheable operator state from the
-//! [operator table](crate::plan::op): the `alpha`/`biased_pdf`
-//! [`GroupPartition`] fold and the `lossmodel` [`LossCounts`] fold. (The
+//! [`PlanPartials`] packages every cacheable stage state (see
+//! [`crate::plan::op`] for why these are exactly the pre-RNG folds): the
+//! `alpha`/`biased_pdf` [`GroupPartition`] fold and the `lossmodel`
+//! [`LossCounts`] fold. (The
 //! `sanitize` partial — the sorted, deduplicated shard columns — lives
 //! in the caller's storage layer, not here.) Both folds are
 //! order-insensitive sums of unit-weight integer counts, so merging
@@ -19,7 +20,7 @@ use autosens_telemetry::record::ActionRecord;
 use crate::alpha::GroupPartition;
 use crate::error::AutoSensError;
 
-/// Every cacheable per-shard operator state, bundled.
+/// Every cacheable per-shard stage state, bundled.
 #[derive(Debug, Clone)]
 pub struct PlanPartials {
     /// The `alpha`/`biased_pdf` record→(group×period) cell fold.
@@ -37,7 +38,7 @@ impl PlanPartials {
         }
     }
 
-    /// Fold one admitted record into every cacheable operator state.
+    /// Fold one admitted record into every cacheable stage state.
     pub fn record(&mut self, r: &ActionRecord) {
         self.partition.record(r);
         self.loss.record(r.time, r.tz_offset_ms, r.class.code());

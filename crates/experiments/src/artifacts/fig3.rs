@@ -17,8 +17,7 @@ pub fn generate(data: &Dataset) -> Artifact {
         .action(ActionType::SelectMail)
         .class(UserClass::Business);
     let report = data
-        .engine
-        .plan()
+        .plan
         .run(PlanInput::slice(&data.log, &slice), RunOptions::default())
         .expect("business SelectMail slice fits")
         .report;

@@ -14,7 +14,7 @@ use crate::dataset::Dataset;
 /// Regenerate Figure 4.
 pub fn generate(data: &Dataset) -> Artifact {
     let base = Slice::all().class(UserClass::Business);
-    let results = data.engine.by_action_type(&data.log, &base);
+    let results = data.plan.by_action_type(&data.log, &base);
 
     let grid = [500.0, 1000.0, 1500.0, 2000.0];
     let mut rows = Vec::new();

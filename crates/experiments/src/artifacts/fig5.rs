@@ -11,7 +11,7 @@ use crate::dataset::Dataset;
 /// Regenerate Figure 5.
 pub fn generate(data: &Dataset) -> Artifact {
     let base = Slice::all().action(ActionType::SelectMail);
-    let results = data.engine.by_user_class(&data.log, &base);
+    let results = data.plan.by_user_class(&data.log, &base);
 
     let grid = [500.0, 1000.0, 1500.0, 2000.0];
     let mut rows = Vec::new();

@@ -16,7 +16,7 @@ pub fn generate(data: &Dataset) -> Artifact {
         .action(ActionType::SelectMail)
         .class(UserClass::Consumer);
     let (quartiles, results) = data
-        .engine
+        .plan
         .by_latency_quartile(&data.log, &base, 20)
         .expect("enough consumer users");
 

@@ -17,10 +17,9 @@ pub fn generate(data: &Dataset) -> Artifact {
     let base = Slice::all()
         .action(ActionType::SelectMail)
         .class(UserClass::Business);
-    let results = data.engine.by_day_period(&data.log, &base);
+    let results = data.plan.by_day_period(&data.log, &base);
     let pooled = data
-        .engine
-        .plan()
+        .plan
         .run(PlanInput::slice(&data.log, &base), RunOptions::default())
         .ok()
         .map(|out| out.report);

@@ -16,7 +16,7 @@ pub fn generate(data: &Dataset) -> Artifact {
         .action(ActionType::SelectMail)
         .class(UserClass::Business);
     let est = data
-        .engine
+        .plan
         .alpha_by_period(&data.log, &base)
         .expect("business SelectMail slice fits");
 

@@ -20,7 +20,7 @@ pub fn generate(data: &Dataset) -> Artifact {
     for action in [ActionType::SelectMail, ActionType::SwitchFolder] {
         let base = Slice::all().action(action).class(UserClass::Business);
         let results = data
-            .engine
+            .plan
             .by_month(&data.log, &base, &[Month::Jan, Month::Feb]);
         let mut month_prefs = Vec::new();
         for (month, result) in &results {

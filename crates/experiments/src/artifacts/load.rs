@@ -43,8 +43,8 @@ const CONNECTIONS: usize = 4;
 /// Simulator seed for the shared record pool.
 const SEED: u64 = 0x10AD;
 
-/// Load-run parameters (small in unit tests, [`TENANTS`]-scale in the
-/// artifact).
+/// Load-run parameters (small in unit tests, the full fleet of
+/// [`LoadConfig::default`] in the artifact).
 #[derive(Debug, Clone, Copy)]
 pub struct LoadConfig {
     /// Tenants to create (`svc-XX/reg-YY` grid).
@@ -201,7 +201,7 @@ fn clean_prefix(pool: &[ActionRecord], floor: usize) -> Result<&[ActionRecord], 
         )
         .map_err(|e| e.to_string())?;
         for r in &pool[..n] {
-            probe.push(r.clone());
+            probe.push(*r);
         }
         if probe.snapshot().is_ok() {
             return Ok(&pool[..n]);

@@ -1,6 +1,6 @@
 //! Shared dataset setup for the experiment regenerators.
 
-use autosens_core::{AutoSens, AutoSensConfig};
+use autosens_core::{AnalysisPlan, AutoSensConfig};
 use autosens_sim::{generate, generate_with_threads, GroundTruth, Scenario, SimConfig};
 use autosens_telemetry::TelemetryLog;
 
@@ -13,14 +13,14 @@ pub enum Scale {
     Bench,
 }
 
-/// A generated dataset plus the analysis engine, shared by all artifacts.
+/// A generated dataset plus the analysis plan, shared by all artifacts.
 pub struct Dataset {
     /// The telemetry log.
     pub log: TelemetryLog,
     /// The simulator's ground truth for this log.
     pub truth: GroundTruth,
-    /// The AutoSens engine with the paper's configuration.
-    pub engine: AutoSens,
+    /// The analysis plan with the paper's configuration.
+    pub plan: AnalysisPlan,
 }
 
 impl Dataset {
@@ -42,7 +42,7 @@ impl Dataset {
         Dataset {
             log,
             truth,
-            engine: AutoSens::new(AutoSensConfig {
+            plan: AnalysisPlan::new(AutoSensConfig {
                 threads,
                 ..AutoSensConfig::default()
             }),
@@ -55,7 +55,7 @@ impl Dataset {
         Ok(Dataset {
             log,
             truth,
-            engine: AutoSens::new(analysis),
+            plan: AnalysisPlan::new(analysis),
         })
     }
 }

@@ -1,6 +1,6 @@
 //! Regenerators for every table and figure in the AutoSens paper's
 //! evaluation, runnable via the `autosens-experiments` binary and reused by
-//! the criterion benches and workspace integration tests.
+//! the workspace integration tests.
 //!
 //! Each artifact module produces an [`artifacts::Artifact`]: the printed
 //! rows/series the paper reports, CSV payloads for plotting, and a list of

@@ -11,7 +11,7 @@
 //!   gauges, and fixed-bucket histograms (bucket edges reuse
 //!   `autosens-stats` binning), exportable as a JSON
 //!   [`MetricsSnapshot`] or Prometheus text exposition format.
-//! * [`warn`] — verbosity-gated stderr messages ([`warn!`], [`info!`],
+//! * [`mod@warn`] — verbosity-gated stderr messages ([`warn!`], [`info!`],
 //!   [`debug!`]) that keep machine-readable stdout clean and count every
 //!   warning in the global registry.
 //! * [`flight`] — a bounded [`FlightRecorder`] ring buffer of structured

@@ -102,7 +102,7 @@ mod tests {
         })
         .unwrap();
         for r in &records {
-            agent.push(r.clone()).unwrap();
+            agent.push(*r).unwrap();
         }
         agent.flush().unwrap();
         assert_eq!(agent.acked(), records.len() as u64);

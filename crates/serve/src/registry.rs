@@ -228,7 +228,7 @@ impl Registry {
         let mut t = tenant.lock();
         for r in records {
             loop {
-                match t.ingestor.offer(r.clone()) {
+                match t.ingestor.offer(*r) {
                     Offer::Accepted | Offer::Shed => break,
                     Offer::Full => {
                         let Tenant {

@@ -12,7 +12,7 @@
 //!
 //! * [`binning`] — fixed-width bin arithmetic shared by histograms and PDFs.
 //! * [`histogram`] — weighted histograms over a [`binning::Binner`].
-//! * [`pdf`] — probability density functions, CDFs, density ratios.
+//! * [`pdf`] — probability density functions.
 //! * [`descriptive`] — means, variances, medians, quantiles.
 //! * [`succdiff`] — mean successive difference vs. mean absolute difference
 //!   (the Figure 1 locality diagnostic) and the von Neumann ratio.
@@ -21,9 +21,8 @@
 //! * [`savgol`] — Savitzky–Golay filters computed from first principles.
 //! * [`smoothing`] — moving-average and median filters (ablation baselines).
 //! * [`dist`] — seeded samplers for Normal/LogNormal/Exponential/Pareto/Poisson.
-//! * [`sampling`] — shuffles, bootstrap resampling, reservoir sampling.
+//! * [`sampling`] — seeded shuffles.
 //! * [`timeseries`] — fixed-window aggregation of timestamped values.
-//! * [`ecdf`] — empirical CDFs and Kolmogorov–Smirnov distances.
 //!
 //! All stochastic routines take an explicit `&mut impl Rng`; nothing in this
 //! crate reads ambient entropy, so downstream pipelines are reproducible from
@@ -34,7 +33,6 @@ pub mod binning;
 pub mod correlation;
 pub mod descriptive;
 pub mod dist;
-pub mod ecdf;
 pub mod error;
 pub mod histogram;
 pub mod linalg;
@@ -49,5 +47,5 @@ pub mod timeseries;
 pub use binning::Binner;
 pub use error::StatsError;
 pub use histogram::Histogram;
-pub use pdf::{Cdf, Pdf, RatioPolicy};
+pub use pdf::Pdf;
 pub use savgol::SavGol;

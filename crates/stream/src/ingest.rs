@@ -2,7 +2,7 @@
 //! overflow accounting, plus an optional fault-injection hook.
 //!
 //! The [`Ingestor`] sits between a telemetry source (a tailed file, a
-//! simulator, a network receiver) and the [`StreamEngine`](crate::StreamEngine).
+//! simulator, a network receiver) and the [`StreamEngine`].
 //! It deliberately keeps the engine out of the hot producer path: sources
 //! call [`Ingestor::offer`] (cheap, lock-scoped queue push), a consumer
 //! periodically calls [`Ingestor::drain_into`]. Overflow is never silent:

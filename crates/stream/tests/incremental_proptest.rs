@@ -106,6 +106,10 @@ proptest! {
     })]
 
     #[test]
+    #[allow(
+        clippy::needless_update,
+        reason = "the vendored ProptestConfig has only `cases`; the real crate has more fields"
+    )]
     fn incremental_equals_full_recompute_equals_batch(
         arrivals in prop::collection::vec(arrival(), 40..220),
         snapshot_every in 7usize..40,

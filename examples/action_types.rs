@@ -8,18 +8,18 @@
 //! ```
 
 use autosens_core::report::{f3, text_table};
-use autosens_core::{AutoSens, AutoSensConfig};
+use autosens_core::{AnalysisPlan, AutoSensConfig};
 use autosens_sim::{generate, Scenario, SimConfig};
 use autosens_telemetry::query::Slice;
 use autosens_telemetry::record::UserClass;
 
 fn main() {
     let (log, _) = generate(&SimConfig::scenario(Scenario::Default)).expect("valid scenario");
-    let engine = AutoSens::new(AutoSensConfig::default());
+    let plan = AnalysisPlan::new(AutoSensConfig::default());
 
     // Business users, as in Figure 4.
     let base = Slice::all().class(UserClass::Business);
-    let results = engine.by_action_type(&log, &base);
+    let results = plan.by_action_type(&log, &base);
 
     let grid = [500.0, 1000.0, 1500.0, 2000.0];
     let mut rows = Vec::new();

@@ -9,7 +9,7 @@
 //! ```
 
 use autosens_core::report::{f3, text_table};
-use autosens_core::{AutoSens, AutoSensConfig};
+use autosens_core::{AnalysisPlan, AutoSensConfig};
 use autosens_sim::{generate, Scenario, SimConfig};
 use autosens_telemetry::query::Slice;
 use autosens_telemetry::record::{ActionType, UserClass};
@@ -17,13 +17,13 @@ use autosens_telemetry::users::LatencyQuartiles;
 
 fn main() {
     let (log, _) = generate(&SimConfig::scenario(Scenario::Default)).expect("valid scenario");
-    let engine = AutoSens::new(AutoSensConfig::default());
+    let plan = AnalysisPlan::new(AutoSensConfig::default());
 
     // Consumer SelectMail, as in Figure 6.
     let base = Slice::all()
         .action(ActionType::SelectMail)
         .class(UserClass::Consumer);
-    let (quartiles, results) = engine
+    let (quartiles, results) = plan
         .by_latency_quartile(&log, &base, 20)
         .expect("enough users for quartiles");
 

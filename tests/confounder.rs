@@ -51,9 +51,7 @@ fn alpha_correction_removes_the_inversion() {
 #[test]
 fn alpha_by_period_matches_activity_profile() {
     let (log, truth) = common::data();
-    let est = common::engine()
-        .alpha_by_period(log, &slice())
-        .expect("fits");
+    let est = common::plan().alpha_by_period(log, &slice()).expect("fits");
     // Reference period normalized to 1.
     let morning = est.groups[0].alpha.expect("morning usable");
     assert!((morning - 1.0).abs() < 1e-9);
@@ -73,9 +71,7 @@ fn alpha_by_period_matches_activity_profile() {
 #[test]
 fn alpha_is_roughly_flat_across_latency_bins() {
     let (log, _) = common::data();
-    let est = common::engine()
-        .alpha_by_period(log, &slice())
-        .expect("fits");
+    let est = common::plan().alpha_by_period(log, &slice()).expect("fits");
     // The paper's justification for averaging alpha over bins (Fig 8): the
     // per-bin alphas of the afternoon period (the best-supported non-
     // reference group) vary modestly around their mean.

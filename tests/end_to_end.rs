@@ -44,7 +44,7 @@ fn csv_roundtrip_preserves_the_analysis() {
 #[test]
 fn preference_is_stable_across_months() {
     let (log, _) = common::data();
-    let results = common::engine().by_month(log, &slice(), &[Month::Jan, Month::Feb]);
+    let results = common::plan().by_month(log, &slice(), &[Month::Jan, Month::Feb]);
     let jan = results[0].1.as_ref().expect("Jan fits");
     let feb = results[1].1.as_ref().expect("Feb fits");
     let mut gap = 0.0;

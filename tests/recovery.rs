@@ -64,7 +64,7 @@ fn recovered_curves_decrease_with_latency() {
 fn action_type_ordering_matches_figure4() {
     let (log, _) = common::data();
     let base = Slice::all().class(UserClass::Business);
-    let results = common::engine().by_action_type(log, &base);
+    let results = common::plan().by_action_type(log, &base);
     let at = |a: ActionType, l: f64| -> f64 {
         results
             .iter()
@@ -88,7 +88,7 @@ fn action_type_ordering_matches_figure4() {
 fn business_users_are_more_sensitive_than_consumers() {
     let (log, _) = common::data();
     let base = Slice::all().action(ActionType::SelectMail);
-    let results = common::engine().by_user_class(log, &base);
+    let results = common::plan().by_user_class(log, &base);
     let at = |c: UserClass, l: f64| -> f64 {
         results
             .iter()
@@ -110,7 +110,7 @@ fn latency_quartiles_order_by_conditioning() {
     let base = Slice::all()
         .action(ActionType::SelectMail)
         .class(UserClass::Consumer);
-    let (quartiles, results) = common::engine()
+    let (quartiles, results) = common::plan()
         .by_latency_quartile(log, &base, 20)
         .expect("enough users");
     assert!(quartiles.cuts[0] < quartiles.cuts[2]);
@@ -135,7 +135,7 @@ fn daytime_is_more_sensitive_than_nighttime() {
     let base = Slice::all()
         .action(ActionType::SelectMail)
         .class(UserClass::Business);
-    let results = common::engine().by_day_period(log, &base);
+    let results = common::plan().by_day_period(log, &base);
     // Nighttime slices are sparse (business activity collapses after 8pm),
     // so their fitted spans end earlier; probe at the highest latency all
     // available curves support, at least 600 ms.
